@@ -6,7 +6,7 @@ and analytic spread both by closed forms and by independent brute-force
 oracles that keep the closed forms honest.
 """
 
-from ._kernels import BACKEND, NUMBA_ENABLED
+from ._kernels import BACKEND
 from .engine import (
     BorelMove,
     apply_move,
@@ -41,7 +41,7 @@ from .monomials import (
 )
 from .oracle import (
     associated_primes_bruteforce,
-    ideals_equal,
+    intersect_contractions,
     symbolic_power_bruteforce,
 )
 from .poset import Graph, InducedPoset, Poset, load_poset, parse_poset, transitive_closure
@@ -54,7 +54,6 @@ from .spectra import (
     maximal_components,
     monomial_of_order_ideal,
     order_ideal,
-    persistence_spectrum,
     symbolic_power,
     symbolic_power_contractions,
 )

@@ -1,60 +1,22 @@
-"""Hot inner loops over exponent-vector arrays.
+"""Hot inner loops over exponent-vector arrays, vectorized with numpy.
 
-Every kernel has two interchangeable implementations: a numba @njit build
-of the plain-loop source and a vectorized numpy fallback.  The active
-backend is chosen at import time; set QBOREL_DISABLE_NUMBA=1 to force the
-numpy path (the package works, just slower on the randomized suites).
-Callers pass C-contiguous int64 arrays.
+The test suite keeps plain-loop references of every kernel and checks
+these against them.  Callers pass C-contiguous int64 arrays.
 """
-
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("QBOREL_DISABLE_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
+BACKEND = "numpy"
 
-if not _DISABLED:
-    try:
-        from numba import njit
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-# Fraction-free elimination stays exact in int64 as long as every operand
-# of a cross-multiplication fits in 31 bits; past that the caller reruns
-# with unbounded integers.
-BAREISS_LIMIT = 1 << 30
-
-# Chunk bound for the broadcasted fallbacks, in comparison cells.
+# Chunk bound for the broadcasted comparisons, in comparison cells.
 _CHUNK_CELLS = 1 << 22
 
 
-def _minimalize_keep_loops(rows, degs):
-    # rows deduplicated and sorted by ascending total degree; a row is
-    # dropped iff some kept row of strictly smaller degree divides it
-    k, n = rows.shape
-    keep = np.ones(k, np.bool_)
-    for a in range(k):
-        for b in range(a):
-            if keep[b] and degs[b] < degs[a]:
-                dominated = True
-                for c in range(n):
-                    if rows[b, c] > rows[a, c]:
-                        dominated = False
-                        break
-                if dominated:
-                    keep[a] = False
-                    break
-    return keep
+def minimalize_keep(rows, degs):
+    """Mask of the rows no kept row of strictly smaller degree divides.
 
-
-def _minimalize_keep_np(rows, degs):
+    Rows are deduplicated and sorted by ascending total degree degs.
+    """
     k = rows.shape[0]
     keep = np.ones(k, np.bool_)
     if k == 0:
@@ -74,24 +36,8 @@ def _minimalize_keep_np(rows, degs):
     return keep
 
 
-def _divides_any_loops(gens, queries):
-    k, n = gens.shape
-    q = queries.shape[0]
-    out = np.zeros(q, np.bool_)
-    for a in range(q):
-        for b in range(k):
-            hit = True
-            for c in range(n):
-                if gens[b, c] > queries[a, c]:
-                    hit = False
-                    break
-            if hit:
-                out[a] = True
-                break
-    return out
-
-
-def _divides_any_np(gens, queries):
+def divides_any(gens, queries):
+    """Mask of the query rows divisible by some generator row."""
     q = queries.shape[0]
     out = np.zeros(q, np.bool_)
     if gens.shape[0] == 0 or q == 0:
@@ -103,41 +49,14 @@ def _divides_any_np(gens, queries):
     return out
 
 
-def _colon_class_loops(gens, f, vbuf):
-    # Classify colon(I, x^f) without building it.  Quotient of a generator
-    # u is max(u - f, 0).  Returns 0 when f lies in I (some quotient is 1),
-    # 1 when the colon equals the prime on the variables flagged in vbuf,
-    # 2 otherwise.  The colon is that prime iff its degree-one quotients
-    # divide every other quotient's support.
-    k, n = gens.shape
-    for c in range(n):
-        vbuf[c] = False
-    for b in range(k):
-        deg = 0
-        var = -1
-        for c in range(n):
-            d = gens[b, c] - f[c]
-            if d > 0:
-                deg += d
-                var = c
-                if deg > 1:
-                    break
-        if deg == 0:
-            return 0
-        if deg == 1:
-            vbuf[var] = True
-    for b in range(k):
-        covered = False
-        for c in range(n):
-            if vbuf[c] and gens[b, c] > f[c]:
-                covered = True
-                break
-        if not covered:
-            return 2
-    return 1
+def colon_class(gens, f, vbuf):
+    """Classify colon(I, x^f) without building it.
 
-
-def _colon_class_np(gens, f, vbuf):
+    The quotient of a generator u is max(u - f, 0).  Returns 0 when f
+    lies in I (some quotient is 1), 1 when the colon equals the prime on
+    the variables flagged in vbuf, 2 otherwise.  The colon is that prime
+    iff its degree-one quotients divide every other quotient's support.
+    """
     q = gens - f[None, :]
     np.clip(q, 0, None, out=q)
     degs = q.sum(1)
@@ -152,49 +71,15 @@ def _colon_class_np(gens, f, vbuf):
     return 1 if bool(covered.all()) else 2
 
 
-def _bareiss_rank_loops(M, limit):
-    # In-place fraction-free elimination with column pivoting.  Returns
-    # (rank, ok); ok False means an operand outgrew `limit` and the result
-    # must be recomputed exactly.
-    rows, cols = M.shape
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        p = -1
-        for rr in range(r, rows):
-            if M[rr, c] != 0:
-                p = rr
-                break
-        if p < 0:
-            continue
-        if p != r:
-            for cc in range(cols):
-                t = M[r, cc]
-                M[r, cc] = M[p, cc]
-                M[p, cc] = t
-        for rr in range(r, rows):
-            for cc in range(c, cols):
-                if M[rr, cc] > limit or M[rr, cc] < -limit:
-                    return rank, False
-        piv = M[r, c]
-        for rr in range(r + 1, rows):
-            mrc = M[rr, c]
-            for cc in range(c + 1, cols):
-                M[rr, cc] = (piv * M[rr, cc] - mrc * M[r, cc]) // prev
-            M[rr, c] = 0
-        prev = piv
-        r += 1
-        rank += 1
-    return rank, True
+def integer_rank_kernel(mat):
+    """Exact rank of an integer matrix over the rationals.
 
-
-def _rank_exact_np(mat):
-    # Same elimination over numpy object arrays of python ints: exact at
-    # any size, no overflow flag needed.
-    M = mat.astype(object)
+    Fraction-free elimination over an object array of python ints, so
+    no intermediate can overflow.
+    """
+    M = np.ascontiguousarray(mat, dtype=np.int64).astype(object)
+    if M.size == 0:
+        return 0
     rows, cols = M.shape
     rank = 0
     prev = 1
@@ -219,36 +104,8 @@ def _rank_exact_np(mat):
     return rank
 
 
-def _relation_adjacency_loops(gens, adj):
-    # Edge {i, j} iff two generators differ by e_i - e_j exactly.
-    r, n = gens.shape
-    for k in range(r):
-        for l in range(k + 1, r):
-            pos = -1
-            neg = -1
-            ok = True
-            for c in range(n):
-                d = gens[l, c] - gens[k, c]
-                if d == 1:
-                    if pos >= 0:
-                        ok = False
-                        break
-                    pos = c
-                elif d == -1:
-                    if neg >= 0:
-                        ok = False
-                        break
-                    neg = c
-                elif d != 0:
-                    ok = False
-                    break
-            if ok and pos >= 0 and neg >= 0:
-                adj[pos, neg] = True
-                adj[neg, pos] = True
-    return adj
-
-
-def _relation_adjacency_np(gens, adj):
+def relation_adjacency(gens, adj):
+    """Set adj[i, j] and adj[j, i] when two generators differ by e_i - e_j."""
     r = gens.shape[0]
     for k in range(r - 1):
         d = gens[k + 1:] - gens[k]
@@ -267,40 +124,12 @@ def _relation_adjacency_np(gens, adj):
     return adj
 
 
-if NUMBA_ENABLED:
-    _minimalize_keep_nb = njit(cache=True)(_minimalize_keep_loops)
-    _divides_any_nb = njit(cache=True)(_divides_any_loops)
-    _colon_class_nb = njit(cache=True)(_colon_class_loops)
-    _bareiss_rank_nb = njit(cache=True)(_bareiss_rank_loops)
-    _relation_adjacency_nb = njit(cache=True)(_relation_adjacency_loops)
-
-    minimalize_keep = _minimalize_keep_nb
-    divides_any = _divides_any_nb
-    colon_class = _colon_class_nb
-    _bareiss_rank_i64 = _bareiss_rank_nb
-    relation_adjacency = _relation_adjacency_nb
-else:
-    minimalize_keep = _minimalize_keep_np
-    divides_any = _divides_any_np
-    colon_class = _colon_class_np
-    _bareiss_rank_i64 = None
-    relation_adjacency = _relation_adjacency_np
-
-
-def integer_rank_kernel(mat):
-    """Exact rank of an integer matrix over the rationals."""
-    mat = np.ascontiguousarray(mat, dtype=np.int64)
-    if mat.size == 0:
-        return 0
-    if _bareiss_rank_i64 is not None:
-        rank, ok = _bareiss_rank_i64(mat.copy(), BAREISS_LIMIT)
-        if ok:
-            return int(rank)
-    return int(_rank_exact_np(mat))
-
-
 def warm_up():
-    """Trigger jit compilation of every kernel on toy input."""
+    """Call every kernel once on toy input.
+
+    Any one-time cost of a first call then falls outside the timed code
+    that runs afterwards.
+    """
     rows = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
     degs = rows.sum(1)
     minimalize_keep(rows, degs)

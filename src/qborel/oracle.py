@@ -10,11 +10,6 @@ from . import _kernels, monomials
 from .monomials import MonomialIdeal
 
 
-def ideals_equal(I, J):
-    """Equality through the canonical minimal generators."""
-    return I == J
-
-
 def _maximal_sets(sets):
     return frozenset(S for S in sets if not any(S < T for T in sets))
 
@@ -37,44 +32,64 @@ def associated_primes_bruteforce(I, return_witnesses=False):
     vbuf = np.zeros(n, dtype=np.bool_)
     found = {}
 
-    def visit(start):
+    def visit():
+        # classify I : f, record a prime colon; False when f lies in I
         code = _kernels.colon_class(gens, f, vbuf)
-        if code == 0:
-            return
         if code == 1:
             prime = frozenset(int(i) + 1 for i in np.flatnonzero(vbuf))
             if prime not in found:
                 found[prime] = f.copy()
-        for c in range(start, n):
-            if f[c] < bound[c]:
-                f[c] += 1
-                visit(c)
-                f[c] -= 1
+        return code != 0
 
-    visit(0)
+    # Preorder walk with an explicit stack, since a chain can be as long
+    # as the degree of the lcm.  Each step raises one coordinate no
+    # smaller than the last one raised, so every divisor is reached once.
+    # A frame holds the next coordinate to try and the one raised to
+    # enter the frame (-1 at the root).
+    stack = [[0, -1]] if visit() else []
+    while stack:
+        frame = stack[-1]
+        c = frame[0]
+        while c < n and f[c] >= bound[c]:
+            c += 1
+        if c == n:
+            stack.pop()
+            if frame[1] >= 0:
+                f[frame[1]] -= 1
+            continue
+        frame[0] = c + 1
+        f[c] += 1
+        if visit():
+            stack.append([c, c])
+        else:
+            f[c] -= 1
+
     if return_witnesses:
         return frozenset(found), found
     return frozenset(found)
 
 
-def symbolic_power_bruteforce(I, d, maximal_only=True):
+def intersect_contractions(I, primes):
+    """Intersect the contractions of I localized at the given primes.
+
+    Reads generators and variable sets only.  For I = J^d and the
+    associated primes of J this is the d-th symbolic power of J.
+    Contraction at a smaller prime only grows the ideal, so the
+    inclusion-maximal primes give the same intersection.  No primes
+    give the unit ideal.
+    """
+    out = None
+    for P in sorted(primes, key=sorted):
+        piece = monomials.localize_contract(I, P)
+        out = piece if out is None else monomials.intersection(out, piece)
+    return MonomialIdeal.unit(I.nvars) if out is None else out
+
+
+def symbolic_power_bruteforce(I, d):
     """Symbolic power from the definition: intersect localized contractions.
 
-    Contracts the d-th ordinary power at the associated primes found by
-    witness search and intersects.  Contraction at a smaller prime only
-    grows the ideal, so the inclusion-maximal primes suffice; pass
-    maximal_only=False to intersect over all of them.
+    Contracts the d-th ordinary power at the inclusion-maximal
+    associated primes found by witness search and intersects.
     """
-    primes = associated_primes_bruteforce(I)
-    keep = _maximal_sets(primes) if maximal_only else primes
-    Id = monomials.power(I, d)
-    out = None
-    for P in sorted(keep, key=sorted):
-        piece = monomials.localize_contract(Id, P)
-        out = piece if out is None else monomials.intersection(out, piece)
-    if __debug__ and maximal_only:
-        full = out
-        for P in sorted(primes - keep, key=sorted):
-            full = monomials.intersection(full, monomials.localize_contract(Id, P))
-        assert ideals_equal(full, out), "a non-maximal prime tightened the symbolic power"
-    return out
+    primes = _maximal_sets(associated_primes_bruteforce(I))
+    return intersect_contractions(monomials.power(I, d), primes)

@@ -11,7 +11,7 @@ from itertools import combinations, product as iproduct
 
 import numpy as np
 
-from . import engine, monomials
+from . import engine, monomials, oracle
 from .errors import TheoremViolation
 
 
@@ -69,17 +69,12 @@ def associated_primes(poset, m):
             ideal = poset.down_closure(sub)
             if ideal not in connected:
                 connected[ideal] = len(poset.connected_components(ideal)) == 1
-    result = frozenset(ideal for ideal, ok in connected.items() if ok)
-    if __debug__:
-        # the order ideal of a divisor depends on its support alone, so
-        # scanning supp(m) subsets must see everything the divisors see
-        assert result == _associated_primes_all_divisors(poset, m)
-    return result
+    return frozenset(ideal for ideal, ok in connected.items() if ok)
 
 
 def _associated_primes_all_divisors(poset, m):
     # the same set read off every divisor instead of every support set;
-    # slower cross-check used by the test suite
+    # the slower reference the test suite checks associated_primes against
     m = monomials.monomial(m)
     supp = sorted(monomials.support(m))
     out = set()
@@ -125,42 +120,15 @@ def symbolic_power(poset, m, d):
     return monomials.power(engine.generate_principal(poset, m), d)
 
 
-def symbolic_power_contractions(poset, m, d, maximal_only=True):
+def symbolic_power_contractions(poset, m, d):
     """Symbolic power by intersecting localized contractions.
 
-    Contracts the d-th ordinary power at the associated primes and
-    intersects.  Contraction at a smaller prime only grows the ideal,
-    so the inclusion-maximal primes suffice; maximal_only=False keeps
-    every prime for cross-checking.
+    Contracts the d-th ordinary power at the maximal associated primes
+    and intersects; see oracle.intersect_contractions.
     """
     I = engine.generate_principal(poset, m)
-    Id = monomials.power(I, d)
-    if maximal_only:
-        primes = max_associated_primes(poset, m)
-    else:
-        primes = associated_primes(poset, m)
-    out = None
-    for P in sorted(primes, key=sorted):
-        piece = monomials.localize_contract(Id, P)
-        out = piece if out is None else monomials.intersection(out, piece)
-    if __debug__ and maximal_only:
-        full = out
-        for P in sorted(associated_primes(poset, m) - primes, key=sorted):
-            full = monomials.intersection(full, monomials.localize_contract(Id, P))
-        assert full == out, "a non-maximal prime tightened the symbolic power"
-    return out
-
-
-def persistence_spectrum(poset, m, s_max):
-    """Associated prime sets of the powers of m, s = 1..s_max.
-
-    Computed from the divisor characterization of each power m^s; the
-    sets come out equal for every s because supports do not change.
-    """
-    if int(s_max) != s_max or s_max < 1:
-        raise ValueError("persistence wants an integer bound s_max >= 1")
-    m = monomials.monomial(m)
-    return [(s, associated_primes(poset, m * s)) for s in range(1, int(s_max) + 1)]
+    return oracle.intersect_contractions(
+        monomials.power(I, d), max_associated_primes(poset, m))
 
 
 @dataclass(frozen=True)

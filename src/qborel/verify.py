@@ -139,9 +139,18 @@ def check_spread(poset, m):
 
 
 def check_sf_spread(poset, m):
-    """Reduction formula for the square-free closure agrees with the rank."""
+    """Square-free search and reduction formula agree with the full closure.
+
+    The restricted search must find exactly the square-free generators
+    of the closure, and the reduction formula must match the rank.
+    """
     fails = []
     I = engine.generate_sf_principal(poset, m)
+    full = engine.generate_principal(poset, m).gens
+    if I != monomials.MonomialIdeal(full[(full <= 1).all(axis=1)], poset.n):
+        fails.append(
+            f"square-free search from {monomials.format_monomial(m)} on "
+            f"{poset!r} differs from the square-free part of the closure")
     result = spread.analytic_spread_sf(poset, m)
     by_rank = spread.analytic_spread_rank(I)
     if result.spread != by_rank:
@@ -237,63 +246,34 @@ def check_containment(poset, m, d_max=3):
     return fails
 
 
-def _trial_symbolic(rng, max_n, max_deg):
+def _poset_monomial(rng, max_n, max_deg):
     poset = random_poset(rng, max_n)
-    return check_symbolic_powers(poset, random_monomial(rng, poset.n, max_deg))
+    return poset, random_monomial(rng, poset.n, max_deg)
 
 
-def _trial_ass(rng, max_n, max_deg):
+def _poset_squarefree(rng, max_n, max_deg):
     poset = random_poset(rng, max_n)
-    return check_ass_powers(poset, random_monomial(rng, poset.n, max_deg))
+    return poset, random_squarefree(rng, poset.n, max_deg)
 
 
-def _trial_spread(rng, max_n, max_deg):
+def _poset_two_monomials(rng, max_n, max_deg):
     poset = random_poset(rng, max_n)
-    return check_spread(poset, random_monomial(rng, poset.n, max_deg))
+    return (poset,
+            random_monomial(rng, poset.n, max_deg),
+            random_monomial(rng, poset.n, max_deg))
 
 
-def _trial_sf_spread(rng, max_n, max_deg):
-    poset = random_poset(rng, max_n)
-    return check_sf_spread(poset, random_squarefree(rng, poset.n, max_deg))
-
-
-def _trial_product(rng, max_n, max_deg):
-    poset = random_poset(rng, max_n)
-    return check_product_identity(
-        poset,
-        random_monomial(rng, poset.n, max_deg),
-        random_monomial(rng, poset.n, max_deg))
-
-
-def _trial_transversal(rng, max_n, max_deg):
-    poset = random_poset(rng, max_n)
-    return check_transversal(poset, random_monomial(rng, poset.n, max_deg))
-
-
-def _trial_disjoint(rng, max_n, max_deg):
-    return check_disjoint_intersection(*random_disjoint_pair(rng, max_n, max_deg))
-
-
-def _trial_decomposition(rng, max_n, max_deg):
-    poset = random_poset(rng, max_n)
-    return check_decomposition(poset, random_monomial(rng, poset.n, max_deg))
-
-
-def _trial_containment(rng, max_n, max_deg):
-    poset = random_poset(rng, max_n)
-    return check_containment(poset, random_monomial(rng, poset.n, max_deg))
-
-
+# name -> (sampler drawing the instance from an rng, check run on it)
 PROPERTIES = {
-    "symbolic-powers": _trial_symbolic,
-    "ass-persistence": _trial_ass,
-    "spread-agreement": _trial_spread,
-    "squarefree-spread": _trial_sf_spread,
-    "product-identity": _trial_product,
-    "transversal-expansion": _trial_transversal,
-    "disjoint-intersection": _trial_disjoint,
-    "component-decomposition": _trial_decomposition,
-    "containment-invariants": _trial_containment,
+    "symbolic-powers": (_poset_monomial, check_symbolic_powers),
+    "ass-persistence": (_poset_monomial, check_ass_powers),
+    "spread-agreement": (_poset_monomial, check_spread),
+    "squarefree-spread": (_poset_squarefree, check_sf_spread),
+    "product-identity": (_poset_two_monomials, check_product_identity),
+    "transversal-expansion": (_poset_monomial, check_transversal),
+    "disjoint-intersection": (random_disjoint_pair, check_disjoint_intersection),
+    "component-decomposition": (_poset_monomial, check_decomposition),
+    "containment-invariants": (_poset_monomial, check_containment),
 }
 
 
@@ -307,10 +287,15 @@ class PropertyReport:
     failures: list
 
 
+def draw_instance(name, seed, index, max_n, max_deg):
+    """The instance of one trial, drawn from (seed, name, index) alone."""
+    rng = np.random.default_rng([seed, zlib.crc32(name.encode()), index])
+    return PROPERTIES[name][0](rng, max_n, max_deg)
+
+
 def run_trial(name, seed, index, max_n, max_deg):
     """One reproducible trial; returns failure strings, empty on pass."""
-    rng = np.random.default_rng([seed, zlib.crc32(name.encode()), index])
-    return PROPERTIES[name](rng, max_n, max_deg)
+    return PROPERTIES[name][1](*draw_instance(name, seed, index, max_n, max_deg))
 
 
 def _run_trial_args(args):

@@ -9,7 +9,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    # pay the jit cost once, before anything gets timed
+    # pay any first-call cost once, before anything gets timed
     _kernels.warm_up()
 
 

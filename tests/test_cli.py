@@ -95,11 +95,21 @@ def test_sympow_both_detects_mismatch(capsys, q3_path, monkeypatch):
     # force the oracle to lie so the disagreement path is exercised
     monkeypatch.setattr(
         cli.oracle, "symbolic_power_bruteforce",
-        lambda I, d, maximal_only=True: MonomialIdeal.unit(I.nvars))
+        lambda I, d: MonomialIdeal.unit(I.nvars))
     code, _, err = run_cli(capsys, "sympow", q3_path, "x2*x3",
                            "-d", "2", "--method", "both")
     assert code == cli.EXIT_VIOLATION
     assert "violation" in err
+
+
+def test_sympow_oracle_deep_witness_search(capsys, tmp_path):
+    # the witness search walks 1201 divisors in one chain without recursing
+    path = tmp_path / "q1.json"
+    path.write_text('{"n": 1, "covers": []}')
+    code, out, _ = run_cli(capsys, "sympow", str(path), "x1^1200",
+                           "-d", "1", "--method", "oracle")
+    assert code == 0
+    assert out.splitlines() == ["x1^1200"]
 
 
 def test_spread_all(capsys, q3_path, q11_path):

@@ -3,8 +3,9 @@ import pytest
 from qborel import (
     MonomialIdeal,
     colon,
+    format_monomial,
     generate_principal,
-    ideals_equal,
+    intersect_contractions,
     power,
     symbolic_power_bruteforce,
     variable_prime,
@@ -44,6 +45,11 @@ def test_witnesses_are_sound(q11, m49):
     assert frozenset(witnesses) == found
     for prime, f in witnesses.items():
         assert colon(I, f) == variable_prime(prime, I.nvars)
+    # the first witness the depth-first search meets for each prime
+    assert {p: format_monomial(f) for p, f in witnesses.items()} == {
+        frozenset({1, 4}): "x6^2",
+        frozenset({6, 7, 9}): "x1*x4*x6",
+    }
 
 
 def test_symbolic_bruteforce_principal():
@@ -56,7 +62,8 @@ def test_symbolic_bruteforce_small(q3, m23):
     want = MonomialIdeal.from_strings(
         ["x1^2*x2^2", "x1*x2^2*x3", "x2^2*x3^2"], 3)
     assert symbolic_power_bruteforce(I, 2) == want
-    assert symbolic_power_bruteforce(I, 2, maximal_only=False) == want
+    every = associated_primes_bruteforce(I)
+    assert intersect_contractions(power(I, 2), every) == want
 
 
 def test_symbolic_bruteforce_contains_power_generally():
@@ -68,10 +75,3 @@ def test_symbolic_bruteforce_contains_power_generally():
     # x1*x2*x3 is the classical witness of the gap
     assert sym.contains([1, 1, 1])
     assert not power(I, 2).contains([1, 1, 1])
-
-
-def test_ideals_equal():
-    I = MonomialIdeal.from_strings(["x1", "x1*x2"], 2)
-    J = MonomialIdeal.from_strings(["x1"], 2)
-    assert ideals_equal(I, J)
-    assert not ideals_equal(I, MonomialIdeal.from_strings(["x2"], 2))

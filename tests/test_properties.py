@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qborel import engine, monomials, verify
+from qborel import engine, monomials, spectra, verify
 from qborel.poset import Poset
 
 
@@ -75,6 +75,83 @@ def test_closure_is_idempotent(inst):
     poset, m = inst
     I = engine.generate_principal(poset, m)
     assert engine.generate_from_set(poset, I.gens) == I
+
+
+@st.composite
+def ideals(draw, max_n=5, max_gens=4, max_exp=3):
+    """Any monomial ideal: a few random generator rows."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, max_gens))
+    rows = draw(st.lists(st.lists(st.integers(0, max_exp), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return monomials.MonomialIdeal(np.array(rows, dtype=np.int64), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_deg=4))
+def test_support_scan_sees_every_divisor(inst):
+    # the order ideal of a divisor depends on its support alone, so
+    # scanning supp(m) subsets must find what scanning all divisors finds
+    poset, m = inst
+    assert spectra.associated_primes(poset, m) == \
+        spectra._associated_primes_all_divisors(poset, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideals(), st.data())
+def test_contraction_shrinks_as_the_prime_grows(I, data):
+    # P <= P' gives I_P ∩ S >= I_P' ∩ S, so primes inside another
+    # associated prime never tighten an intersection of contractions
+    everything = list(range(1, I.nvars + 1))
+    big = data.draw(st.sets(st.sampled_from(everything)))
+    small = data.draw(st.sets(st.sampled_from(everything))) & big
+    assert monomials.localize_contract(I, small).contains_ideal(
+        monomials.localize_contract(I, big))
+
+
+def test_moved_properties_catch_wrong_stubs(monkeypatch):
+    real_contract = monomials.localize_contract
+    with monkeypatch.context() as patch:
+        patch.setattr(monomials, "localize_contract", lambda I, members: real_contract(
+            I, set(range(1, I.nvars + 1)) - set(members)))
+        with pytest.raises(AssertionError):
+            test_contraction_shrinks_as_the_prime_grows()
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "associated_primes", spectra.max_associated_primes)
+        with pytest.raises(AssertionError):
+            test_support_scan_sees_every_divisor()
+
+
+def test_sf_spread_check_catches_a_short_search(monkeypatch, q6, m1236):
+    assert verify.check_sf_spread(q6, m1236) == []
+    real = engine._orbit_rows
+
+    def drop_one_row(poset, m, squarefree_only=False):
+        rows = real(poset, m, squarefree_only)
+        return rows[:-1] if squarefree_only else rows
+
+    monkeypatch.setattr(engine, "_orbit_rows", drop_one_row)
+    fails = verify.check_sf_spread(q6, m1236)
+    assert any("square-free search" in msg for msg in fails)
+
+
+def test_draw_instance_pinned():
+    # (property, index) -> (n, covers, monomials) drawn at seed 0 with the
+    # acceptance sizes; run_trial replays exactly these instances
+    pinned = {
+        ("symbolic-powers", 382):
+            (6, [(2, 6), (4, 3), (4, 5), (5, 1), (6, 4)], ["x1^2*x3*x5"]),
+        ("ass-persistence", 488):
+            (7, [(1, 2), (2, 3), (5, 3), (6, 2), (7, 6)], ["x2*x3^2*x7"]),
+        ("squarefree-spread", 5): (7, [(1, 7), (3, 5), (4, 3), (4, 6)], ["x5*x6"]),
+        ("product-identity", 3):
+            (7, [(1, 4), (5, 1), (5, 6), (6, 2), (6, 4)], ["x1^2*x6^2", "x2*x3*x6"]),
+        ("disjoint-intersection", 7): (7, [(2, 3), (3, 4), (6, 7)], ["x2", "x5^2*x7"]),
+    }
+    for (name, index), (n, covers, ms) in pinned.items():
+        poset, *drawn = verify.draw_instance(name, 0, index, 7, 4)
+        assert (poset.n, sorted(poset.covers)) == (n, covers), (name, index)
+        assert [monomials.format_monomial(m) for m in drawn] == ms, (name, index)
 
 
 def test_run_trial_reproducible():

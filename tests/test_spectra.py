@@ -11,13 +11,13 @@ from qborel import (
     containment_invariants,
     format_monomial,
     generate_principal,
+    intersect_contractions,
     intersection,
     max_associated_primes,
     maximal_components,
     monomial_of_order_ideal,
     order_ideal,
     parse_monomial,
-    persistence_spectrum,
     power,
     symbolic_power,
     symbolic_power_contractions,
@@ -110,7 +110,8 @@ def test_symbolic_power_routes(q3, m23):
         ["x1^2*x2^2", "x1*x2^2*x3", "x2^2*x3^2"], 3)
     assert symbolic_power(q3, m23, 2) == want
     assert symbolic_power_contractions(q3, m23, 2) == want
-    assert symbolic_power_contractions(q3, m23, 2, maximal_only=False) == want
+    every = associated_primes(q3, m23)
+    assert intersect_contractions(power(generate_principal(q3, m23), 2), every) == want
 
 
 def test_symbolic_power_is_closure_of_power(q11, m49):
@@ -122,16 +123,6 @@ def test_symbolic_power_is_closure_of_power(q11, m49):
 
 def test_symbolic_power_d1(q3, m23):
     assert symbolic_power(q3, m23, 1) == generate_principal(q3, m23)
-
-
-def test_persistence_spectrum(q11, m49, q3, m23):
-    spec3 = persistence_spectrum(q11, m49, 3)
-    assert [s for s, _ in spec3] == [1, 2, 3]
-    assert all(p == primes({1, 4}, {6, 7, 9}) for _, p in spec3)
-    spec2 = persistence_spectrum(q3, m23, 2)
-    assert all(p == primes({2}, {1, 3}) for _, p in spec2)
-    with pytest.raises(ValueError):
-        persistence_spectrum(q3, m23, 0)
 
 
 def test_containment_invariants(q11, m49, q3, m23):
