@@ -3,8 +3,8 @@
 Every subcommand takes a poset file (JSON with keys n and covers, or the
 line format 'n' then 'j < i' per line) and monomials like x4*x9^2.
 Output is deterministic text, or JSON with --json.  Exit codes: 0 ok,
-2 unreadable input, 3 precondition violation, 4 a structural identity
-failed on the instance.
+2 unreadable input, 3 precondition violation (running out of memory
+included), 4 a structural identity failed on the instance.
 """
 
 import argparse
@@ -280,6 +280,10 @@ def main(argv=None):
         return EXIT_VIOLATION
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

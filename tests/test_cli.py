@@ -103,7 +103,9 @@ def test_sympow_both_detects_mismatch(capsys, q3_path, monkeypatch):
 
 
 def test_sympow_oracle_deep_witness_search(capsys, tmp_path):
-    # the witness search walks 1201 divisors in one chain without recursing
+    # 1201 divisors in one chain: the staircase route reads them as one
+    # grid axis, and the walk, which takes boxes over the cell budget,
+    # must step down the chain without recursing
     path = tmp_path / "q1.json"
     path.write_text('{"n": 1, "covers": []}')
     code, out, _ = run_cli(capsys, "sympow", str(path), "x1^1200",
@@ -204,6 +206,25 @@ def test_exit_precondition_errors(capsys, q3_path, q11_path):
     assert code == cli.EXIT_PRECONDITION
     code, _, _ = run_cli(capsys, "certify", q3_path, "x2*x3", "x1*x3")
     assert code == cli.EXIT_PRECONDITION
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch, q3_path):
+    def exhausted(poset, m):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli.engine, "generate_principal", exhausted)
+    code, out, err = run_cli(capsys, "gen", q3_path, "x2*x3")
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert err.splitlines() == [
+        "error: out of memory: Unable to allocate 8.00 EiB for an array"]
+
+    def bare(poset, m):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.spectra, "associated_primes", bare)
+    code, out, err = run_cli(capsys, "ass", q3_path, "x2*x3")
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert err.splitlines() == ["error: out of memory"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qborel import (
@@ -10,6 +11,7 @@ from qborel import (
     symbolic_power_bruteforce,
     variable_prime,
 )
+from qborel import _kernels, oracle
 from qborel.oracle import associated_primes_bruteforce
 
 
@@ -39,17 +41,50 @@ def test_ass_bruteforce_rejects_degenerate():
         associated_primes_bruteforce(MonomialIdeal.unit(2))
 
 
-def test_witnesses_are_sound(q11, m49):
+def check_q11_witnesses(q11, m49):
     I = generate_principal(q11, m49)
     found, witnesses = associated_primes_bruteforce(I, return_witnesses=True)
     assert frozenset(witnesses) == found
     for prime, f in witnesses.items():
         assert colon(I, f) == variable_prime(prime, I.nvars)
-    # the first witness the depth-first search meets for each prime
+    # the first witness the depth-first walk meets for each prime
     assert {p: format_monomial(f) for p, f in witnesses.items()} == {
         frozenset({1, 4}): "x6^2",
         frozenset({6, 7, 9}): "x1*x4*x6",
     }
+
+
+def test_witnesses_are_sound(q11, m49):
+    check_q11_witnesses(q11, m49)
+
+
+def test_witnesses_are_sound_on_the_walk(monkeypatch, q11, m49):
+    # a zero cell budget sends every ideal to the walk
+    monkeypatch.setattr(oracle, "_GRID_CELLS", 0)
+    check_q11_witnesses(q11, m49)
+
+
+def test_wide_maximal_ideal_takes_the_walk(monkeypatch):
+    # 2^70 cells: the count must not wrap, and 70 grid axes would pass
+    # numpy's dimension limit, so only the walk can take this box
+    def no_grid(gens, bound):
+        raise AssertionError("the staircase route took a 2^70-cell box")
+
+    real = _kernels.colon_class
+    calls = []
+
+    def counted(gens, f, vbuf):
+        calls.append(1)
+        return real(gens, f, vbuf)
+
+    monkeypatch.setattr(oracle, "_staircase_witnesses", no_grid)
+    monkeypatch.setattr(_kernels, "colon_class", counted)
+    I = MonomialIdeal(np.eye(70, dtype=np.int64), 70)
+    found, witnesses = associated_primes_bruteforce(I, return_witnesses=True)
+    assert found == primes(range(1, 71))
+    assert not witnesses[frozenset(range(1, 71))].any()
+    # the origin and its 70 neighbours, all of which lie in I
+    assert len(calls) == 71
 
 
 def test_symbolic_bruteforce_principal():

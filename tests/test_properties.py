@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qborel import engine, monomials, spectra, verify
+from qborel import engine, monomials, oracle, spectra, verify
 from qborel.poset import Poset
 
 
@@ -109,6 +109,24 @@ def test_contraction_shrinks_as_the_prime_grows(I, data):
         monomials.localize_contract(I, big))
 
 
+def _primes_and_witnesses(I):
+    found, witnesses = oracle.associated_primes_bruteforce(I, return_witnesses=True)
+    return found, [(p, f.tolist()) for p, f in witnesses.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals())
+def test_staircase_matches_the_walk(I):
+    # any ideal, embedded primes included: the grid route must give the
+    # walk's primes and the walk's first witness for each, in its order
+    assume(not I.is_unit())
+    by_grid = _primes_and_witnesses(I)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_GRID_CELLS", 0)
+        by_walk = _primes_and_witnesses(I)
+    assert by_grid == by_walk
+
+
 def test_moved_properties_catch_wrong_stubs(monkeypatch):
     real_contract = monomials.localize_contract
     with monkeypatch.context() as patch:
@@ -120,6 +138,19 @@ def test_moved_properties_catch_wrong_stubs(monkeypatch):
         patch.setattr(spectra, "associated_primes", spectra.max_associated_primes)
         with pytest.raises(AssertionError):
             test_support_scan_sees_every_divisor()
+
+
+def test_route_property_catches_a_dropped_witness(monkeypatch):
+    real = oracle._staircase_witnesses
+
+    def drop_one(gens, bound):
+        found = real(gens, bound)
+        found.popitem()
+        return found
+
+    monkeypatch.setattr(oracle, "_staircase_witnesses", drop_one)
+    with pytest.raises(AssertionError):
+        test_staircase_matches_the_walk()
 
 
 def test_sf_spread_check_catches_a_short_search(monkeypatch, q6, m1236):
