@@ -34,6 +34,7 @@ from .monomials import (
     monomial,
     parse_monomial,
     power,
+    powers,
     product,
     restrict,
     support,
@@ -54,7 +55,6 @@ from .spectra import (
     maximal_components,
     monomial_of_order_ideal,
     order_ideal,
-    symbolic_power,
     symbolic_power_contractions,
 )
 from .spread import (

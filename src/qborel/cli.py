@@ -99,13 +99,11 @@ def _cmd_power(args):
 def _cmd_sympow(args):
     poset, m = _load(args)
     I = engine.generate_principal(poset, m)
-    if args.method == "theorem":
-        result = monomials.power(I, args.d)
-    elif args.method == "oracle":
-        result = oracle.symbolic_power_bruteforce(I, args.d)
-    else:
-        result = monomials.power(I, args.d)
-        check = oracle.symbolic_power_bruteforce(I, args.d)
+    result = monomials.power(I, args.d)
+    if args.method == "oracle":
+        (result,) = oracle.symbolic_power_bruteforce(I, (result,))
+    elif args.method == "both":
+        (check,) = oracle.symbolic_power_bruteforce(I, (result,))
         if result != check:
             raise TheoremViolation(
                 f"symbolic power {args.d} of {format_monomial(m)} differs "

@@ -254,14 +254,19 @@ def product(I, J):
     return _accumulate_minimal(blocks(), I.nvars)
 
 
-def power(I, d):
-    """The d-th ordinary power, d >= 1."""
+def powers(I, d):
+    """The ordinary powers (I, I^2, ..., I^d), d >= 1, one product each."""
     if int(d) != d or d < 1:
         raise ValueError("power wants an integer exponent d >= 1")
-    out = I
+    chain = [I]
     for _ in range(int(d) - 1):
-        out = product(out, I)
-    return out
+        chain.append(product(chain[-1], I))
+    return tuple(chain)
+
+
+def power(I, d):
+    """The d-th ordinary power, d >= 1."""
+    return powers(I, d)[-1]
 
 
 def intersection(I, J):

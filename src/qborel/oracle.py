@@ -192,11 +192,12 @@ def intersect_contractions(I, primes):
     return MonomialIdeal.unit(I.nvars) if out is None else out
 
 
-def symbolic_power_bruteforce(I, d):
-    """Symbolic power from the definition: intersect localized contractions.
+def symbolic_power_bruteforce(I, powers):
+    """Symbolic powers from the definition: intersect localized contractions.
 
-    Contracts the d-th ordinary power at the inclusion-maximal
-    associated primes found by witness search and intersects.
+    Contracts each ordinary power of I in powers, such as
+    monomials.powers(I, d), at the inclusion-maximal associated primes
+    of one witness search on I and intersects; one ideal per power.
     """
     primes = _maximal_sets(associated_primes_bruteforce(I))
-    return intersect_contractions(monomials.power(I, d), primes)
+    return tuple(intersect_contractions(J, primes) for J in powers)

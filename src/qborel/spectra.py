@@ -110,25 +110,16 @@ def component_decomposition(poset, m):
     return [engine.generate_principal(poset, mk) for mk in maximal_components(poset, m)]
 
 
-def symbolic_power(poset, m, d):
-    """The d-th symbolic power of the closure ideal of m.
+def symbolic_power_contractions(poset, m, powers):
+    """Symbolic powers by intersecting localized contractions.
 
-    Symbolic and ordinary powers of these ideals coincide, so this is
-    the fast route; see symbolic_power_contractions for the definition
-    unwound at the associated primes.
+    Contracts each ordinary power of the closure ideal of m in powers,
+    such as monomials.powers(I, d), at the maximal associated primes and
+    intersects (see oracle.intersect_contractions); one ideal per power.
+    Symbolic and ordinary powers of these ideals coincide.
     """
-    return monomials.power(engine.generate_principal(poset, m), d)
-
-
-def symbolic_power_contractions(poset, m, d):
-    """Symbolic power by intersecting localized contractions.
-
-    Contracts the d-th ordinary power at the maximal associated primes
-    and intersects; see oracle.intersect_contractions.
-    """
-    I = engine.generate_principal(poset, m)
-    return oracle.intersect_contractions(
-        monomials.power(I, d), max_associated_primes(poset, m))
+    primes = max_associated_primes(poset, m)
+    return tuple(oracle.intersect_contractions(J, primes) for J in powers)
 
 
 @dataclass(frozen=True)
@@ -144,23 +135,20 @@ class ContainmentInvariants:
 def containment_invariants(poset, m, d_max):
     """Waldschmidt constant, symbolic defects and a resurgence bound.
 
-    Symbolic powers are recomputed from their defining contractions and
-    compared with the ordinary powers generator by generator, so the
+    Symbolic powers are recomputed by contracting one chain of ordinary
+    powers and compared with that chain generator by generator, so the
     closed forms deg(m), 0 and 1 are certified up to d_max rather than
     assumed.  A mismatch raises TheoremViolation.
     """
     if int(d_max) != d_max or d_max < 1:
         raise ValueError("containment data wants an integer bound d_max >= 1")
     m = monomials.monomial(m)
-    I = engine.generate_principal(poset, m)
-    powers = [I]
-    for _ in range(int(d_max) - 1):
-        powers.append(monomials.product(powers[-1], I))
+    powers = monomials.powers(engine.generate_principal(poset, m), d_max)
+    symbolic = symbolic_power_contractions(poset, m, powers)
     sdefect = []
     alpha_over_s = []
-    for d in range(1, int(d_max) + 1):
-        sym = symbolic_power_contractions(poset, m, d)
-        if sym != powers[d - 1]:
+    for d, (sym, ordinary) in enumerate(zip(symbolic, powers), 1):
+        if sym != ordinary:
             raise TheoremViolation(
                 f"symbolic power {d} of {monomials.format_monomial(m)} "
                 f"differs from the ordinary power")

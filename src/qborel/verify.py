@@ -80,10 +80,12 @@ def check_symbolic_powers(poset, m, d_max=3):
     """Oracle symbolic power = ordinary power = closure of m^d."""
     fails = []
     I = engine.generate_principal(poset, m)
-    for d in range(1, d_max + 1):
-        via_oracle = oracle.symbolic_power_bruteforce(I, d)
-        via_power = monomials.power(I, d)
-        via_closure = engine.generate_principal(poset, np.asarray(m) * d)
+    powers = monomials.powers(I, d_max)
+    symbolic = oracle.symbolic_power_bruteforce(I, powers)
+    for d, (via_oracle, via_power) in enumerate(zip(symbolic, powers), 1):
+        # at d = 1 the closure of m^d is I itself
+        via_closure = I if d == 1 else engine.generate_principal(
+            poset, np.asarray(m) * d)
         if not (via_oracle == via_power == via_closure):
             fails.append(
                 f"symbolic power {d} of {monomials.format_monomial(m)} on "
@@ -96,10 +98,7 @@ def check_ass_powers(poset, m, s_max=3):
     fails = []
     I = engine.generate_principal(poset, m)
     want = spectra.associated_primes(poset, m)
-    Is = I
-    for s in range(1, s_max + 1):
-        if s > 1:
-            Is = monomials.product(Is, I)
+    for s, Is in enumerate(monomials.powers(I, s_max), 1):
         got = oracle.associated_primes_bruteforce(Is)
         if got != want:
             fails.append(
@@ -116,12 +115,13 @@ def check_spread(poset, m):
     I = engine.generate_principal(poset, m)
     by_formula = spread.analytic_spread_principal(poset, m)
     by_rank = spread.analytic_spread_rank(I)
-    by_graph = spread.spread_via_relation_graph(spread.linear_relation_graph(I))
+    # the theorem check builds the relation graph of I; read it off there
+    report = spread.check_transitive_closure_theorem(poset, m)
+    by_graph = spread.spread_via_relation_graph(report.graph)
     if not by_formula == by_rank == by_graph:
         fails.append(
             f"spread of {monomials.format_monomial(m)} on {poset!r}: "
             f"formula={by_formula} rank={by_rank} graph={by_graph}")
-    report = spread.check_transitive_closure_theorem(poset, m)
     if not report.ok:
         fails.append(
             f"relation graph of {monomials.format_monomial(m)} on {poset!r}: "

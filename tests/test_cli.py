@@ -1,9 +1,12 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import qborel
 from qborel import MonomialIdeal, cli
 
 Q11_ORDERED = [
@@ -95,7 +98,7 @@ def test_sympow_both_detects_mismatch(capsys, q3_path, monkeypatch):
     # force the oracle to lie so the disagreement path is exercised
     monkeypatch.setattr(
         cli.oracle, "symbolic_power_bruteforce",
-        lambda I, d: MonomialIdeal.unit(I.nvars))
+        lambda I, powers: (MonomialIdeal.unit(I.nvars),))
     code, _, err = run_cli(capsys, "sympow", q3_path, "x2*x3",
                            "-d", "2", "--method", "both")
     assert code == cli.EXIT_VIOLATION
@@ -234,8 +237,13 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_module_entry_point(q11_path):
+    # the child imports the same qborel as this test, wherever pytest
+    # found it, ahead of anything already on PYTHONPATH
+    src = pathlib.Path(qborel.__file__).resolve().parent.parent
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     out = subprocess.run(
         [sys.executable, "-m", "qborel", "gen", q11_path, "x4*x9^2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     assert out.returncode == 0
     assert out.stdout.splitlines() == Q11_ORDERED

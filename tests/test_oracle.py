@@ -8,6 +8,7 @@ from qborel import (
     generate_principal,
     intersect_contractions,
     power,
+    powers,
     symbolic_power_bruteforce,
     variable_prime,
 )
@@ -89,14 +90,14 @@ def test_wide_maximal_ideal_takes_the_walk(monkeypatch):
 
 def test_symbolic_bruteforce_principal():
     I = MonomialIdeal.from_strings(["x1^2*x2"], 2)
-    assert symbolic_power_bruteforce(I, 3) == power(I, 3)
+    assert symbolic_power_bruteforce(I, powers(I, 3)) == powers(I, 3)
 
 
 def test_symbolic_bruteforce_small(q3, m23):
     I = generate_principal(q3, m23)
     want = MonomialIdeal.from_strings(
         ["x1^2*x2^2", "x1*x2^2*x3", "x2^2*x3^2"], 3)
-    assert symbolic_power_bruteforce(I, 2) == want
+    assert symbolic_power_bruteforce(I, (power(I, 2),)) == (want,)
     every = associated_primes_bruteforce(I)
     assert intersect_contractions(power(I, 2), every) == want
 
@@ -104,7 +105,7 @@ def test_symbolic_bruteforce_small(q3, m23):
 def test_symbolic_bruteforce_contains_power_generally():
     # on a non-closure ideal the symbolic power may be strictly larger
     I = MonomialIdeal.from_strings(["x1*x2", "x2*x3", "x1*x3"], 3)
-    sym = symbolic_power_bruteforce(I, 2)
+    _, sym = symbolic_power_bruteforce(I, powers(I, 2))
     assert sym.contains_ideal(power(I, 2))
     assert not power(I, 2).contains_ideal(sym)
     # x1*x2*x3 is the classical witness of the gap

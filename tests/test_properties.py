@@ -37,6 +37,8 @@ def test_product_laws(inst, data):
     assert J.contains_ideal(meet)
     assert meet.contains_ideal(monomials.product(I, J))
     assert monomials.power(I, 2) == monomials.product(I, I)
+    chain = monomials.powers(I, 3)
+    assert all(chain[k - 1] == monomials.power(I, k) for k in (1, 2, 3))
 
 
 @settings(max_examples=60, deadline=None)

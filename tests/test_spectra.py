@@ -19,9 +19,10 @@ from qborel import (
     order_ideal,
     parse_monomial,
     power,
-    symbolic_power,
+    powers,
     symbolic_power_contractions,
 )
+from qborel import engine, monomials, oracle, verify
 from qborel.spectra import _associated_primes_all_divisors
 
 
@@ -108,21 +109,24 @@ def test_component_decomposition_connected(q3):
 def test_symbolic_power_routes(q3, m23):
     want = MonomialIdeal.from_strings(
         ["x1^2*x2^2", "x1*x2^2*x3", "x2^2*x3^2"], 3)
-    assert symbolic_power(q3, m23, 2) == want
-    assert symbolic_power_contractions(q3, m23, 2) == want
+    I = generate_principal(q3, m23)
+    assert power(I, 2) == want
+    assert symbolic_power_contractions(q3, m23, powers(I, 2))[1] == want
     every = associated_primes(q3, m23)
-    assert intersect_contractions(power(generate_principal(q3, m23), 2), every) == want
+    assert intersect_contractions(power(I, 2), every) == want
 
 
 def test_symbolic_power_is_closure_of_power(q11, m49):
     d = 2
-    assert symbolic_power(q11, m49, d) == generate_principal(
-        q11, np.asarray(m49) * d)
-    assert symbolic_power_contractions(q11, m49, d) == symbolic_power(q11, m49, d)
+    chain = powers(generate_principal(q11, m49), d)
+    assert chain[-1] == generate_principal(q11, np.asarray(m49) * d)
+    assert symbolic_power_contractions(q11, m49, chain) == chain
 
 
 def test_symbolic_power_d1(q3, m23):
-    assert symbolic_power(q3, m23, 1) == generate_principal(q3, m23)
+    I = generate_principal(q3, m23)
+    assert power(I, 1) == I
+    assert symbolic_power_contractions(q3, m23, (I,)) == (I,)
 
 
 def test_containment_invariants(q11, m49, q3, m23):
@@ -142,3 +146,28 @@ def test_containment_invariants_principal():
     data = containment_invariants(anti, parse_monomial("x1^2*x2", 3), 3)
     assert data.sdefect == (0, 0, 0)
     assert data.waldschmidt == 3
+
+
+def test_power_chain_is_built_once(q11, m49, monkeypatch):
+    # one closure per exponent, one product per step of the chain and
+    # one witness search on I, however many powers are compared
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(engine, "generate_principal")
+    count(monomials, "product")
+    count(oracle, "associated_primes_bruteforce")
+    assert verify.check_symbolic_powers(q11, m49, 3) == []
+    assert calls == {"generate_principal": 3, "product": 2,
+                     "associated_primes_bruteforce": 1}
+    calls.clear()
+    containment_invariants(q11, m49, 3)
+    assert calls == {"generate_principal": 1, "product": 2}
