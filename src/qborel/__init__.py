@@ -21,7 +21,6 @@ from .errors import ParseError, TheoremViolation
 from .monomials import (
     MonomialIdeal,
     alpha,
-    colon,
     degree,
     divides,
     format_monomial,
@@ -30,7 +29,6 @@ from .monomials import (
     is_squarefree,
     lcm,
     localize_contract,
-    minimalize,
     monomial,
     parse_monomial,
     power,
@@ -53,7 +51,6 @@ from .spectra import (
     containment_invariants,
     max_associated_primes,
     maximal_components,
-    monomial_of_order_ideal,
     order_ideal,
     symbolic_power_contractions,
 )
@@ -65,7 +62,6 @@ from .spread import (
     analytic_spread_sf,
     check_transitive_closure_theorem,
     exponent_matrix,
-    hasse_incidence_matrix,
     integer_rank,
     linear_relation_graph,
     spread_via_relation_graph,

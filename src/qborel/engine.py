@@ -1,4 +1,8 @@
-"""Closure of monomials under downward variable exchanges along a poset."""
+"""Closure of monomials under downward variable exchanges along a poset.
+
+Generators come from a breadth-first walk over the orbit of m; a
+membership certificate is a transport plan and needs no orbit.
+"""
 
 from collections import deque
 from dataclasses import InitVar, dataclass
@@ -146,8 +150,11 @@ def expand_factorization(factors, nvars):
 def move_certificate(poset, m, target):
     """Moves from m to target dividing only variables in supp(m).
 
-    The returned list replays to target as a vector identity; individual
-    intermediate steps are allowed to go negative.
+    One move x_i -> x_j per unit of m that must move, in ascending
+    (i, j) order.  No variable both sends and receives, so replaying the
+    moves in order keeps every exponent nonnegative and ends at target.
+    The moves are a transport plan: the units of m shipped down the
+    order onto target, which exists iff target is in the closure of m.
     """
     m = monomials.monomial(m)
     target = monomials.monomial(target)
@@ -155,67 +162,51 @@ def move_certificate(poset, m, target):
     _check_ambient(poset, target)
     if monomials.degree(m) == 0:
         raise ValueError("the closure of the monomial 1 is not defined")
-
-    moves = _path_moves(poset, m, target)
-    supp = monomials.support(m)
-    while True:
-        t = next((k for k, mv in enumerate(moves) if mv[0] not in supp), None)
-        if t is None:
-            break
-        v = moves[t][0]
-        # v gained its exponent from some other move, so a partner exists
-        k = next((k for k, mv in enumerate(moves) if k != t and mv[1] == v), None)
-        assert k is not None
-        a_k, b_k = moves[k]
-        a_t, b_t = moves[t]
-        assert b_k == a_t
-        if a_k == b_t:
-            for idx in sorted((t, k), reverse=True):
-                del moves[idx]
-        else:
-            moves[k] = (a_k, b_t)
-            del moves[t]
-
-    replay = m.copy()
-    for i, j in moves:
-        replay[i - 1] -= 1
-        replay[j - 1] += 1
-    assert np.array_equal(replay, target)
-    return [BorelMove(i, j, poset) for i, j in moves]
-
-
-def _path_moves(poset, m, target):
-    # parent-link BFS over the closure, deterministic first-seen order
-    if np.array_equal(m, target):
-        return []
-    moves = _legal_moves(poset)
-    start = m.tobytes()
-    goal = target.tobytes()
-    parent = {start: None}
-    queue = deque([m])
-    while queue:
-        cur = queue.popleft()
-        for i, j in moves:
-            if cur[i - 1] > 0:
-                nxt = cur.copy()
-                nxt[i - 1] -= 1
-                nxt[j - 1] += 1
-                key = nxt.tobytes()
-                if key not in parent:
-                    parent[key] = (cur.tobytes(), (i, j))
-                    if key == goal:
-                        queue.clear()
-                        break
-                    queue.append(nxt)
-        else:
-            continue
-        break
-    if goal not in parent:
+    if monomials.degree(target) != monomials.degree(m):
         raise ValueError("target is not in the closure of the monomial")
-    path = []
-    key = goal
-    while parent[key] is not None:
-        key, mv = parent[key]
-        path.append(mv)
-    path.reverse()
-    return path
+    flow = _transport_plan(poset, m, target)
+    return [BorelMove(i, j, poset)
+            for (i, j), units in sorted(flow.items()) for _ in range(units)]
+
+
+def _transport_plan(poset, m, target):
+    # units at variables dividing both stay put; the rest of m ships to
+    # the rest of target over edges i -> j with x_j < x_i, along shortest
+    # augmenting paths that carry their bottleneck, so the number of
+    # rounds does not grow with the exponents
+    stay = np.minimum(m, target)
+    supply = {i + 1: int(v) for i, v in enumerate(m - stay) if v}
+    demand = {j + 1: int(v) for j, v in enumerate(target - stay) if v}
+    below = {i: [j for j in demand if poset.lt(j, i)] for i in supply}
+    flow = {(i, j): 0 for i in supply for j in below[i]}
+    while any(supply.values()):
+        parent = {i: None for i in supply if supply[i]}
+        queue = deque(parent)
+        # stop when a receiver with unmet demand reaches the front
+        while queue and not demand.get(queue[0]):
+            v = queue.popleft()
+            if v in supply:
+                step = below[v]
+            else:
+                step = [i for i in supply if flow.get((i, v))]
+            for w in step:
+                if w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+        if not queue:
+            raise ValueError("target is not in the closure of the monomial")
+        path = [queue[0]]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        # the path alternates sender, receiver, sender, ...; it ships
+        # along (sender, next receiver) and undoes (next sender, receiver)
+        sends, gets = path[::-1][0::2], path[::-1][1::2]
+        undone = list(zip(sends[1:], gets))
+        units = min([supply[sends[0]], demand[gets[-1]]] + [flow[e] for e in undone])
+        for e in zip(sends, gets):
+            flow[e] += units
+        for e in undone:
+            flow[e] -= units
+        supply[sends[0]] -= units
+        demand[gets[-1]] -= units
+    return flow

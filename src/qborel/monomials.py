@@ -223,13 +223,8 @@ def _check_same_ring(I, J):
         raise ValueError("ideals live in different variable counts")
 
 
-def minimalize(rows, nvars):
-    """Build the ideal generated by arbitrary monomial rows."""
-    return MonomialIdeal(rows, nvars)
-
-
 def _accumulate_minimal(blocks, nvars):
-    # running minimalize keeps peak memory at one block; discarding
+    # running minimalization keeps peak memory at one block; discarding
     # non-minimal rows early never changes the final minimal set
     acc = np.zeros((0, nvars), dtype=np.int64)
     for block in blocks:
@@ -282,18 +277,6 @@ def intersection(I, J):
             yield np.maximum(chunk[:, None, :], J.gens[None, :, :]).reshape(-1, I.nvars)
 
     return _accumulate_minimal(blocks(), I.nvars)
-
-
-def colon(I, f):
-    """The colon ideal I : f for a monomial f."""
-    f = monomial(f)
-    if f.shape[0] != I.nvars:
-        raise ValueError("monomial lives in the wrong variable count")
-    if I.is_zero():
-        return MonomialIdeal.zero(I.nvars)
-    rows = I.gens - f[None, :]
-    np.clip(rows, 0, None, out=rows)
-    return MonomialIdeal(rows, I.nvars)
 
 
 def localize_contract(I, members):

@@ -128,9 +128,6 @@ class InducedPoset:
     poset: Poset
     labels: tuple
 
-    def to_ambient(self, k):
-        return self.labels[k - 1]
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -229,7 +226,8 @@ def poset_from_json(text):
     """Parse {"n": ..., "covers": [[j, i], ...]}."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "n" not in doc or "covers" not in doc:
         raise ParseError("poset JSON needs keys 'n' and 'covers'")
@@ -255,5 +253,9 @@ def parse_poset(text):
 
 def load_poset(path):
     """Read and parse a poset file."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_poset(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"poset file is not UTF-8: {exc}") from None
+    return parse_poset(text)

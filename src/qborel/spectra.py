@@ -7,7 +7,7 @@ component by component of its Hasse diagram.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 import numpy as np
 
@@ -20,19 +20,6 @@ def order_ideal(poset, m):
     m = monomials.monomial(m)
     engine._check_ambient(poset, m)
     return poset.down_closure(monomials.support(m))
-
-
-def monomial_of_order_ideal(poset, m, members):
-    """The largest divisor of m whose order ideal is the given one."""
-    m = monomials.monomial(m)
-    engine._check_ambient(poset, m)
-    members = frozenset(members)
-    if not poset.is_order_ideal(members):
-        raise ValueError("not an order ideal")
-    part = monomials.restrict(m, members)
-    if order_ideal(poset, part) != members:
-        raise ValueError("the order ideal is not realized by a divisor of m")
-    return part
 
 
 def maximal_components(poset, m):
@@ -70,22 +57,6 @@ def associated_primes(poset, m):
             if ideal not in connected:
                 connected[ideal] = len(poset.connected_components(ideal)) == 1
     return frozenset(ideal for ideal, ok in connected.items() if ok)
-
-
-def _associated_primes_all_divisors(poset, m):
-    # the same set read off every divisor instead of every support set;
-    # the slower reference the test suite checks associated_primes against
-    m = monomials.monomial(m)
-    supp = sorted(monomials.support(m))
-    out = set()
-    for exps in iproduct(*[range(int(m[i - 1]) + 1) for i in supp]):
-        if not any(exps):
-            continue
-        sub = [i for i, e in zip(supp, exps) if e > 0]
-        ideal = poset.down_closure(sub)
-        if len(poset.connected_components(ideal)) == 1:
-            out.add(ideal)
-    return frozenset(out)
 
 
 def max_associated_primes(poset, m):

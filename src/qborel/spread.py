@@ -75,26 +75,6 @@ def spread_via_relation_graph(graph):
     return len(graph.vertices) - len(graph.components()) + 1
 
 
-def hasse_incidence_matrix(poset, m):
-    """Signed vertex/edge incidence matrix of the Hasse diagram of A(m).
-
-    Diagnostic companion to analytic_spread_principal: the rank of this
-    matrix is |A(m)| - K(A(m)), one less than the spread.  Columns are
-    the cover relations inside A(m), -1 at the lower element and +1 at
-    the upper.
-    """
-    m = monomials.monomial(m)
-    engine._check_ambient(poset, m)
-    ideal = order_ideal(poset, m)
-    edges = [(j, i) for j, i in sorted(poset.covers)
-             if j in ideal and i in ideal]
-    B = np.zeros((poset.n, len(edges)), dtype=np.int64)
-    for col, (j, i) in enumerate(edges):
-        B[j - 1, col] = -1
-        B[i - 1, col] = 1
-    return B
-
-
 @dataclass(frozen=True)
 class ClosureComparison:
     """Relation graph of a closure ideal versus its predicted shape."""
@@ -106,14 +86,13 @@ class ClosureComparison:
     extra_edges: frozenset
 
 
-def check_transitive_closure_theorem(poset, m):
+def check_transitive_closure_theorem(poset, m, I):
     """Compare the relation graph with the closed Hasse diagram.
 
-    The relation graph of the closure ideal of m must equal the
+    The relation graph of I, the closure ideal of m, must equal the
     transitive closure of the Hasse diagram of A(m) with isolated
     vertices dropped.
     """
-    I = engine.generate_principal(poset, m)
     graph = linear_relation_graph(I)
     hasse = poset.hasse_graph(order_ideal(poset, m))
     expected = transitive_closure(hasse).without_isolated()

@@ -116,7 +116,7 @@ def check_spread(poset, m):
     by_formula = spread.analytic_spread_principal(poset, m)
     by_rank = spread.analytic_spread_rank(I)
     # the theorem check builds the relation graph of I; read it off there
-    report = spread.check_transitive_closure_theorem(poset, m)
+    report = spread.check_transitive_closure_theorem(poset, m, I)
     by_graph = spread.spread_via_relation_graph(report.graph)
     if not by_formula == by_rank == by_graph:
         fails.append(

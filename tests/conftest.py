@@ -13,6 +13,23 @@ def _warm_kernels():
     _kernels.warm_up()
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count(module, name) counts calls to module.name into a dict."""
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    return calls, count
+
+
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import qborel
 from qborel import MonomialIdeal, cli
@@ -198,6 +201,106 @@ def test_exit_parse_errors(capsys, q3_path, tmp_path):
     bad.write_text('{"n": 2}')
     code, _, err = run_cli(capsys, "gen", str(bad), "x1")
     assert code == cli.EXIT_PARSE
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    # the JSON decoder recurses once per bracket
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n": 2, "covers": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(capsys, "gen", str(deep), "x1")
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith("error: invalid JSON") and "Traceback" not in err
+
+
+def test_non_utf8_poset_exits_2(capsys, tmp_path):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"2\n# caf\xe9\n1 < 2\n")
+    code, out, err = run_cli(capsys, "gen", str(latin), "x2")
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith("error: poset file is not UTF-8")
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Fuzzed poset files keep n <= 64, because Poset allocates n x n: every
+# token that parses as an integer is drawn small, garbage has no line
+# breaks (a garbage line can never become a large head) and no "{" (so
+# only the JSON branch reaches the JSON parser).
+_garbage = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                  blacklist_characters="{"),
+    max_size=8).filter(_not_an_int)
+_small = st.integers(-2, 64)
+_json_value = st.recursive(
+    st.none() | st.booleans() | _small | _garbage,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_garbage, inner, max_size=2),
+    max_leaves=8)
+_rarely = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def _maxass_inputs(draw):
+    """Poset file bytes and monomial text, each damaged now and then."""
+    n = draw(st.integers(1, 8) | _small)
+    valid = st.integers(1, max(n, 1))
+    pairs = draw(st.lists(st.lists(valid, min_size=2, max_size=2, unique=True)
+                          .map(sorted), max_size=4)) if n > 1 else []
+    if draw(_rarely):
+        pairs.append(draw(st.tuples(_small, _small)))
+    if draw(st.booleans()):
+        doc = {"n": draw(_json_value) if draw(_rarely) else n,
+               "covers": draw(_json_value) if draw(_rarely) else pairs}
+        if draw(_rarely):
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        text = json.dumps(doc)
+        if draw(_rarely):
+            text = text[:draw(st.integers(0, len(text)))]
+    else:
+        token = st.sampled_from(["{}", "x{}", " {} "])
+        lines = [draw(token).format(j) + "<" + draw(token).format(i)
+                 for j, i in pairs]
+        if draw(_rarely):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_garbage))
+        text = "\n".join([draw(_garbage) if draw(_rarely) else str(n)] + lines)
+    data = text.encode()
+    if draw(_rarely):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]  # never valid UTF-8
+    if draw(_rarely):
+        return data, draw(st.text(max_size=12))
+    exponent = st.integers(0, 10**20) if draw(_rarely) else st.integers(0, 3)
+    index = _small if draw(_rarely) else valid
+    terms = draw(st.lists(st.tuples(index, exponent), min_size=1, max_size=3))
+    return data, "*".join(f"x{i}^{e}" for i, e in terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maxass_inputs())
+def test_fuzzed_input_exits_cleanly(tmp_path_factory, inputs):
+    # maxass never generates a closure, so every input answers at once
+    data, mono = inputs
+    path = tmp_path_factory.getbasetemp() / "fuzzed-poset"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["maxass", str(path), mono])
+        except SystemExit as exc:  # argparse reads "-..." as an option
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_PRECONDITION)
+    assert "Traceback" not in err.getvalue()
+    try:
+        data.decode()
+    except UnicodeDecodeError:
+        assert code == cli.EXIT_PARSE
 
 
 def test_exit_precondition_errors(capsys, q3_path, q11_path):

@@ -4,6 +4,7 @@ import pytest
 from qborel import (
     BorelMove,
     MonomialIdeal,
+    Poset,
     apply_move,
     expand_factorization,
     format_monomial,
@@ -14,6 +15,7 @@ from qborel import (
     parse_monomial,
     transversal_factorization,
 )
+from qborel import engine
 
 # the twelve generators of the closure of x4*x9^2 on the 11-element poset
 Q11_GENS = {
@@ -143,8 +145,8 @@ def test_certificate_small(q3, m23):
 
 
 def test_certificate_divides_only_supp(q11, m49):
-    # the sum identity must hold and only supported variables may be
-    # divided; nonnegative intermediates are not promised
+    # only supported variables are divided, and the moves replay in
+    # order to the target through nonnegative intermediates
     I = generate_principal(q11, m49)
     supp = {4, 9}
     for g in I.gens:
@@ -152,9 +154,35 @@ def test_certificate_divides_only_supp(q11, m49):
         assert {mv.i for mv in moves} <= supp
         total = np.asarray(m49).copy()
         for mv in moves:
-            total[mv.i - 1] -= 1
-            total[mv.j - 1] += 1
+            total = apply_move(total, mv)
+            assert (total >= 0).all()
         assert np.array_equal(total, g)
+
+
+def test_certificate_reroutes_a_unit():
+    # x3 reaches x1 and x2, x4 reaches only x1: shipping x3 -> x1 first
+    # would strand x4, so the plan must send x3's unit to x2 instead
+    q = Poset(4, [(1, 3), (2, 3), (1, 4)])
+    moves = move_certificate(q, parse_monomial("x3*x4", 4),
+                             parse_monomial("x1*x2", 4))
+    assert [repr(mv) for mv in moves] == ["x3 -> x2", "x4 -> x1"]
+
+
+def test_certificate_needs_no_closure(monkeypatch):
+    # the closure of x14^12 on a 14-chain has 5.2M generators; the plan
+    # ships the twelve units without generating any of them
+    chain = Poset(14, [(k, k + 1) for k in range(1, 14)])
+
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("the certificate generated the closure")
+
+    monkeypatch.setattr(engine, "_orbit_rows", no_orbit)
+    moves = move_certificate(chain, parse_monomial("x14^12", 14),
+                             parse_monomial("x1^12", 14))
+    assert [repr(mv) for mv in moves] == ["x14 -> x1"] * 12
+    with pytest.raises(ValueError):
+        move_certificate(chain, parse_monomial("x1^12", 14),
+                         parse_monomial("x14^12", 14))
 
 
 def test_certificate_rejects_outsider(q3, m23):

@@ -5,7 +5,6 @@ from qborel import (
     MonomialIdeal,
     ParseError,
     alpha,
-    colon,
     degree,
     divides,
     format_monomial,
@@ -14,7 +13,6 @@ from qborel import (
     is_squarefree,
     lcm,
     localize_contract,
-    minimalize,
     monomial,
     parse_monomial,
     power,
@@ -68,7 +66,7 @@ def test_pointwise_helpers():
 
 
 def test_minimalize_drops_multiples():
-    I = minimalize(exponents([1, 0], [1, 1], [2, 0], [0, 3]), 2)
+    I = MonomialIdeal(exponents([1, 0], [1, 1], [2, 0], [0, 3]), 2)
     assert I.generator_strings() == ["x1", "x2^3"]
 
 
@@ -128,15 +126,6 @@ def test_intersection():
     assert intersection(A, B).generator_strings() == ["x1*x2", "x2*x3"]
     assert intersection(A, MonomialIdeal.zero(3)).is_zero()
     assert intersection(A, MonomialIdeal.unit(3)) == A
-
-
-def test_colon():
-    I = MonomialIdeal.from_strings(["x1^2", "x1*x2"], 2)
-    assert colon(I, parse_monomial("x1", 2)).generator_strings() == ["x1", "x2"]
-    assert colon(I, parse_monomial("x2", 2)).generator_strings() == ["x1"]
-    # colon by a member gives the unit ideal
-    assert colon(I, parse_monomial("x1^2", 2)).is_unit()
-    assert colon(MonomialIdeal.zero(2), parse_monomial("x1", 2)).is_zero()
 
 
 def test_localize_contract():

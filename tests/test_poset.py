@@ -74,7 +74,6 @@ def test_induced_chain(q6):
     ind = q6.induced({4, 5, 6})
     assert ind.labels == (4, 5, 6)
     assert ind.poset.covers == {(1, 2), (2, 3)}
-    assert ind.to_ambient(1) == 4
 
 
 def test_induced_recovers_noncover_relations(q11):

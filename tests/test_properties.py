@@ -1,9 +1,12 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qborel import engine, monomials, oracle, spectra, verify
 from qborel.poset import Poset
+from test_spectra import associated_primes_all_divisors
 
 
 @st.composite
@@ -58,7 +61,8 @@ def test_closure_is_stable_under_moves(inst):
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_generators_are_certified(inst):
-    # soundness: every generator is reachable and the move sum checks out
+    # soundness: every generator is reachable, and the moves replay in
+    # order through nonnegative intermediates
     poset, m = inst
     I = engine.generate_principal(poset, m)
     for g in I.gens:
@@ -66,9 +70,35 @@ def test_generators_are_certified(inst):
         total = np.asarray(m, dtype=np.int64).copy()
         for mv in moves:
             assert m[mv.i - 1] > 0
-            total[mv.i - 1] -= 1
-            total[mv.j - 1] += 1
+            total = engine.apply_move(total, mv)
+            assert (total >= 0).all()
         assert np.array_equal(total, g)
+
+
+def _certified(poset, m, u):
+    try:
+        engine.move_certificate(poset, m, u)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.sampled_from([-1, 1]))
+def test_transport_plan_matches_the_orbit(inst, shift):
+    # the plan decides membership without the closure: it must succeed
+    # on exactly the monomials of degree deg m that the orbit reaches,
+    # and on nothing of another degree
+    poset, m = inst
+    I = engine.generate_principal(poset, m)
+    deg = int(m.sum())
+    for picks in combinations_with_replacement(range(poset.n), deg):
+        u = np.bincount(picks, minlength=poset.n).astype(np.int64)
+        assert _certified(poset, m, u) == I.contains(u)
+    if deg + shift > 0:
+        u = m.copy()
+        u[int(np.argmax(u))] += shift
+        assert not _certified(poset, m, u)
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,7 +126,7 @@ def test_support_scan_sees_every_divisor(inst):
     # scanning supp(m) subsets must find what scanning all divisors finds
     poset, m = inst
     assert spectra.associated_primes(poset, m) == \
-        spectra._associated_primes_all_divisors(poset, m)
+        associated_primes_all_divisors(poset, m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qborel import (
     intersection,
     max_associated_primes,
     maximal_components,
-    monomial_of_order_ideal,
     order_ideal,
     parse_monomial,
     power,
@@ -23,11 +23,26 @@ from qborel import (
     symbolic_power_contractions,
 )
 from qborel import engine, monomials, oracle, verify
-from qborel.spectra import _associated_primes_all_divisors
 
 
 def primes(*sets):
     return frozenset(frozenset(s) for s in sets)
+
+
+def associated_primes_all_divisors(poset, m):
+    # the associated primes read off every divisor of m instead of every
+    # support set; the slower reference associated_primes is checked on
+    m = monomials.monomial(m)
+    supp = sorted(monomials.support(m))
+    out = set()
+    for exps in iproduct(*[range(int(m[i - 1]) + 1) for i in supp]):
+        if not any(exps):
+            continue
+        sub = [i for i, e in zip(supp, exps) if e > 0]
+        ideal = poset.down_closure(sub)
+        if len(poset.connected_components(ideal)) == 1:
+            out.add(ideal)
+    return frozenset(out)
 
 
 def test_order_ideal(q11, m49):
@@ -35,17 +50,6 @@ def test_order_ideal(q11, m49):
     assert order_ideal(q11, parse_monomial("x9", 11)) == {6, 7, 9}
     assert order_ideal(q11, parse_monomial("x9^2", 11)) == {6, 7, 9}
     assert order_ideal(q11, parse_monomial("1", 11)) == frozenset()
-
-
-def test_monomial_of_order_ideal(q11, m49):
-    assert format_monomial(monomial_of_order_ideal(q11, m49, {6, 7, 9})) == "x9^2"
-    assert format_monomial(monomial_of_order_ideal(q11, m49, {1, 4})) == "x4"
-    full = monomial_of_order_ideal(q11, m49, {1, 4, 6, 7, 9})
-    assert np.array_equal(full, m49)
-    with pytest.raises(ValueError):
-        monomial_of_order_ideal(q11, m49, {4, 9})  # not an order ideal
-    with pytest.raises(ValueError):
-        monomial_of_order_ideal(q11, m49, {3})  # no divisor realizes it
 
 
 def test_maximal_components(q11, m49, q3, m23):
@@ -78,8 +82,8 @@ def test_associated_primes_chain():
 
 
 def test_all_divisor_scan_matches(q11, m49, q3, m23):
-    assert _associated_primes_all_divisors(q11, m49) == associated_primes(q11, m49)
-    assert _associated_primes_all_divisors(q3, m23) == associated_primes(q3, m23)
+    assert associated_primes_all_divisors(q11, m49) == associated_primes(q11, m49)
+    assert associated_primes_all_divisors(q3, m23) == associated_primes(q3, m23)
 
 
 def test_max_associated_primes(q11, m49):
@@ -148,20 +152,10 @@ def test_containment_invariants_principal():
     assert data.waldschmidt == 3
 
 
-def test_power_chain_is_built_once(q11, m49, monkeypatch):
+def test_power_chain_is_built_once(q11, m49, count_calls):
     # one closure per exponent, one product per step of the chain and
     # one witness search on I, however many powers are compared
-    calls = {}
-
-    def count(module, name):
-        fn = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
+    calls, count = count_calls
     count(engine, "generate_principal")
     count(monomials, "product")
     count(oracle, "associated_primes_bruteforce")

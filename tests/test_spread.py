@@ -13,13 +13,12 @@ from qborel import (
     format_monomial,
     generate_principal,
     generate_sf_principal,
-    hasse_incidence_matrix,
     integer_rank,
     linear_relation_graph,
-    order_ideal,
     parse_monomial,
     spread_via_relation_graph,
 )
+from qborel import engine, spread, verify
 
 
 def test_integer_rank_basics():
@@ -98,27 +97,22 @@ def test_spread_via_graph():
 
 
 def test_closure_theorem_check(q11, m49, q3, m23):
-    assert check_transitive_closure_theorem(q3, m23).ok
-    assert check_transitive_closure_theorem(q11, m49).ok
+    for poset, m in ((q3, m23), (q11, m49)):
+        I = generate_principal(poset, m)
+        assert check_transitive_closure_theorem(poset, m, I).ok
     anti = Poset(3, [])
-    report = check_transitive_closure_theorem(anti, parse_monomial("x1*x2", 3))
+    m = parse_monomial("x1*x2", 3)
+    report = check_transitive_closure_theorem(anti, m, generate_principal(anti, m))
     assert report.ok and report.graph.edges == frozenset()
 
 
-def test_incidence_matrix_identity(q11, m49, q3, m23, q6, m1236):
-    for poset, m in ((q11, m49), (q3, m23), (q6, m1236)):
-        B = hasse_incidence_matrix(poset, m)
-        assert (B.sum(axis=0) == 0).all()
-        ideal = order_ideal(poset, m)
-        comps = poset.connected_components(ideal)
-        assert integer_rank(B) == len(ideal) - len(comps)
-        assert analytic_spread_principal(poset, m) == integer_rank(B) + 1
-
-
-def test_incidence_matrix_edges(q3, m23):
-    B = hasse_incidence_matrix(q3, m23)
-    assert B.shape == (3, 1)
-    assert B[:, 0].tolist() == [-1, 0, 1]
+def test_spread_trial_generates_once(q11, m49, count_calls):
+    # the theorem check reads the closure the spread trial already holds
+    calls, count = count_calls
+    count(engine, "generate_principal")
+    count(spread, "linear_relation_graph")
+    assert verify.check_spread(q11, m49) == []
+    assert calls == {"generate_principal": 1, "linear_relation_graph": 1}
 
 
 def test_sf_spread_worked_example(q6, m1236):
