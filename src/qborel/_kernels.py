@@ -19,7 +19,8 @@ def minimalize_keep(rows, degs):
     """
     k = rows.shape[0]
     keep = np.ones(k, np.bool_)
-    if k == 0:
+    # one degree: no row has a strictly smaller one
+    if k == 0 or degs[0] == degs[-1]:
         return keep
     starts = np.flatnonzero(np.diff(degs)) + 1
     bounds = [0, *starts.tolist(), k]
@@ -105,22 +106,26 @@ def integer_rank_kernel(mat):
 
 
 def relation_adjacency(gens, adj):
-    """Set adj[i, j] and adj[j, i] when two generators differ by e_i - e_j."""
-    r = gens.shape[0]
-    for k in range(r - 1):
-        d = gens[k + 1:] - gens[k]
-        cand = np.flatnonzero(np.abs(d).sum(1) == 2)
-        if cand.size == 0:
-            continue
-        dc = d[cand]
-        ok = (dc.max(1) == 1) & (dc.min(1) == -1)
-        dd = dc[ok]
-        if dd.shape[0] == 0:
-            continue
-        i = np.argmax(dd == 1, 1)
-        j = np.argmax(dd == -1, 1)
-        adj[i, j] = True
-        adj[j, i] = True
+    """Set adj[i, j] and adj[j, i] when two generators differ by e_i - e_j.
+
+    Those are w + e_i and w + e_j for a shared child w: the children
+    u - e_c are sorted into runs, and each run links the c it removed.
+    """
+    r, c = np.nonzero(gens > 0)
+    if r.size == 0:
+        return adj
+    kids = gens[r]
+    kids[np.arange(r.size), c] -= 1
+    order = np.lexsort(kids.T)
+    kids, c = kids[order], c[order]
+    fresh = np.ones(r.size, np.bool_)
+    fresh[1:] = (kids[1:] != kids[:-1]).any(axis=1)
+    # float for a BLAS product; a positive count of shared runs stays positive
+    removed = np.zeros((int(fresh.sum()), gens.shape[1]))
+    removed[np.cumsum(fresh) - 1, c] = 1.0
+    shared = (removed.T @ removed) > 0
+    np.fill_diagonal(shared, False)
+    adj |= shared
     return adj
 
 

@@ -8,6 +8,7 @@ included), 4 a structural identity failed on the instance.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -208,6 +209,7 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qborel",

@@ -1,6 +1,7 @@
 """Closure of monomials under downward variable exchanges along a poset.
 
-Generators come from a breadth-first walk over the orbit of m; a
+Generators come from a walk over the orbit of m that expands one level
+of a potential at a time, highest first, since every move lowers it; a
 membership certificate is a transport plan and needs no orbit.
 """
 
@@ -47,44 +48,32 @@ def _check_ambient(poset, m):
         raise ValueError(f"monomial has {m.shape[0]} variables, poset has {poset.n}")
 
 
-def _legal_moves(poset):
-    # strict pairs (i, j): dividing x_i may introduce x_j
-    return [
-        (i, j)
-        for i in range(1, poset.n + 1)
-        for j in range(1, poset.n + 1)
-        if i != j and poset.leq(j, i)
-    ]
-
-
 def _orbit_rows(poset, m, squarefree_only=False):
-    # breadth-first closure; every reachable monomial has deg(m), so the
-    # orbit is finite and already a minimal generating set up to dedup
-    moves = _legal_moves(poset)
-    seen = {m.tobytes()}
-    layers = [m[None, :]]
-    frontier = m[None, :]
-    while frontier.shape[0]:
-        batches = []
-        for i, j in moves:
-            mask = frontier[:, i - 1] > 0
-            if squarefree_only:
-                mask &= frontier[:, j - 1] == 0
-            if mask.any():
-                nxt = frontier[mask].copy()
-                nxt[:, i - 1] -= 1
-                nxt[:, j - 1] += 1
-                batches.append(nxt)
-        if not batches:
-            break
-        cand = np.unique(np.concatenate(batches), axis=0)
-        fresh_mask = np.fromiter(
-            (row.tobytes() not in seen for row in cand), bool, cand.shape[0])
-        frontier = cand[fresh_mask]
-        seen.update(row.tobytes() for row in frontier)
-        if frontier.shape[0]:
-            layers.append(frontier)
-    return np.concatenate(layers)
+    # every reachable monomial has deg(m), so the orbit is finite and
+    # already a minimal generating set.  A move x_i -> x_j lowers
+    # phi(u) = sum_k u_k |down(k)| by |down(i)| - |down(j)| >= 1, so the
+    # walk expands the levels of phi from the top: by then every parent
+    # of a level has been expanded, and one dedup per level suffices
+    eye = np.eye(poset.n, dtype=np.int64)
+    dst, src = np.nonzero(poset._leq & (eye == 0))
+    step = eye[dst] - eye[src]
+    height = poset._leq.sum(axis=0)
+    drop = height[src] - height[dst]
+    pending = {int(m @ height): [m[None, :]]}
+    levels = []
+    while pending:
+        level = max(pending)
+        frontier = monomials.canonical_rows(np.concatenate(pending.pop(level)))
+        levels.append(frontier)
+        legal = frontier[:, src] > 0
+        if squarefree_only:
+            legal &= frontier[:, dst] == 0
+        r, c = np.nonzero(legal)
+        kids = frontier[r] + step[c]
+        kid_drop = drop[c]
+        for d in set(kid_drop.tolist()):
+            pending.setdefault(level - d, []).append(kids[kid_drop == d])
+    return np.concatenate(levels)
 
 
 def generate_principal(poset, m):
@@ -165,8 +154,8 @@ def move_certificate(poset, m, target):
     if monomials.degree(target) != monomials.degree(m):
         raise ValueError("target is not in the closure of the monomial")
     flow = _transport_plan(poset, m, target)
-    return [BorelMove(i, j, poset)
-            for (i, j), units in sorted(flow.items()) for _ in range(units)]
+    return [move for (i, j), units in sorted(flow.items()) if units
+            for move in [BorelMove(i, j, poset)] * units]
 
 
 def _transport_plan(poset, m, target):

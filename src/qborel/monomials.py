@@ -38,9 +38,10 @@ def monomial(exponents):
 def parse_monomial(text, nvars):
     """Parse 'x4*x9^2' into an exponent vector; '1' is the empty product."""
     s = text.strip()
-    exps = np.zeros(nvars, dtype=np.int64)
+    # python ints, so a huge exponent reaches the range check intact
+    exps = np.zeros(nvars, dtype=object)
     if s == "1":
-        return exps
+        return exps.astype(np.int64)
     for term in s.split("*"):
         t = term.strip()
         mt = _TERM_RE.match(t)
@@ -52,7 +53,7 @@ def parse_monomial(text, nvars):
             raise ParseError(f"variable x{idx} out of range 1..{nvars}")
         exps[idx - 1] += exp
     _check_exponents(exps)
-    return exps
+    return exps.astype(np.int64)
 
 
 def format_monomial(m):
@@ -100,24 +101,25 @@ def restrict(m, members):
     return out
 
 
-def _canonical_order(rows):
-    # ascending total degree, then descending lexicographic exponents,
-    # the order a worked example is read in
+def canonical_rows(rows):
+    """The distinct rows by ascending degree, then descending lex order.
+
+    That is the order a worked example is read in; one sort puts each
+    repeat right after the row it repeats.
+    """
     if rows.shape[0] <= 1:
         return rows
-    keys = np.vstack([(-rows[:, ::-1]).T, rows.sum(axis=1)])
-    return rows[np.lexsort(keys)]
+    rows = rows[np.lexsort(np.vstack([(-rows[:, ::-1]).T, rows.sum(axis=1)]))]
+    fresh = np.ones(rows.shape[0], np.bool_)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[fresh]
 
 
 def _minimal_rows(rows):
     if rows.shape[0] == 0:
         return rows
-    rows = np.unique(rows, axis=0)
-    degs = rows.sum(axis=1)
-    order = np.argsort(degs, kind="stable")
-    rows = np.ascontiguousarray(rows[order])
-    keep = _kernels.minimalize_keep(rows, degs[order])
-    return _canonical_order(rows[keep])
+    rows = canonical_rows(rows)
+    return rows[_kernels.minimalize_keep(rows, rows.sum(axis=1))]
 
 
 class MonomialIdeal:
@@ -178,7 +180,7 @@ class MonomialIdeal:
                 and bool((self.gens == other.gens).all()))
 
     def __hash__(self):
-        return hash((self.nvars, self.gens.shape, self.gens.tobytes()))
+        return hash((self.nvars, self.gens.shape, bytes(self.gens.data)))
 
     def __repr__(self):
         if self.is_zero():

@@ -314,6 +314,17 @@ def test_exit_precondition_errors(capsys, q3_path, q11_path):
     assert code == cli.EXIT_PRECONDITION
 
 
+def test_exponent_overflow_names_the_range(capsys, q11_path):
+    # past the range, huge or summed, the message is ours, not numpy's
+    for mono in ("x1^100000000000000000000", "x1^2147483647*x1",
+                 "x1^2147483648"):
+        code, out, err = run_cli(capsys, "maxass", q11_path, mono)
+        assert code == cli.EXIT_PRECONDITION and out == ""
+        assert err.splitlines() == ["error: exponent exceeds the supported range"]
+    code, _, _ = run_cli(capsys, "maxass", q11_path, "x1^2147483646*x1")
+    assert code == cli.EXIT_OK
+
+
 def test_out_of_memory_exits_3(capsys, monkeypatch, q3_path):
     def exhausted(poset, m):
         raise MemoryError("Unable to allocate 8.00 EiB for an array")

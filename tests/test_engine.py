@@ -185,6 +185,18 @@ def test_certificate_needs_no_closure(monkeypatch):
                          parse_monomial("x14^12", 14))
 
 
+def test_certificate_builds_one_move_per_pair(count_calls):
+    # the certificate repeats one checked move per pair of the plan, so
+    # its cost does not grow with the exponents
+    calls, count = count_calls
+    count(engine, "BorelMove")
+    chain = Poset(3, [(1, 2), (2, 3)])
+    moves = move_certificate(chain, parse_monomial("x2^500*x3^700", 3),
+                             parse_monomial("x1^1200", 3))
+    assert [repr(mv) for mv in moves] == ["x2 -> x1"] * 500 + ["x3 -> x1"] * 700
+    assert calls == {"BorelMove": 2}
+
+
 def test_certificate_rejects_outsider(q3, m23):
     with pytest.raises(ValueError):
         move_certificate(q3, m23, parse_monomial("x1*x3", 3))

@@ -252,11 +252,13 @@ def test_rank_known_values():
 
 @pytest.mark.parametrize("r,n", [(2, 3), (12, 5), (40, 8)])
 def test_relation_adjacency_backends_agree(r, n):
-    gens = random_rows(r, n, high=3)
-    a = _relation_adjacency_loops(gens, np.zeros((n, n), np.bool_))
-    b = _kernels.relation_adjacency(gens, np.zeros((n, n), np.bool_))
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, a.T)
+    # random rows mix degrees; repeated rows must add no edge of their own
+    rows = random_rows(r, n, high=3)
+    for gens in (rows, rng.permutation(np.concatenate([rows, rows[:r // 2 + 1]]))):
+        a = _relation_adjacency_loops(gens, np.zeros((n, n), np.bool_))
+        b = _kernels.relation_adjacency(gens, np.zeros((n, n), np.bool_))
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, a.T)
 
 
 def test_relation_adjacency_semantics():

@@ -101,6 +101,68 @@ def test_transport_plan_matches_the_orbit(inst, shift):
         assert not _certified(poset, m, u)
 
 
+def orbit_rows_bfs(poset, m, squarefree_only=False):
+    # plain breadth-first reference for engine._orbit_rows: every legal
+    # move from every new monomial, a set of seen rows, one layer a round
+    moves = [(i, j) for i in range(1, poset.n + 1)
+             for j in range(1, poset.n + 1) if i != j and poset.leq(j, i)]
+    seen = {m.tobytes()}
+    layers = [m[None, :]]
+    frontier = m[None, :]
+    while frontier.shape[0]:
+        batches = []
+        for i, j in moves:
+            mask = frontier[:, i - 1] > 0
+            if squarefree_only:
+                mask &= frontier[:, j - 1] == 0
+            if mask.any():
+                nxt = frontier[mask].copy()
+                nxt[:, i - 1] -= 1
+                nxt[:, j - 1] += 1
+                batches.append(nxt)
+        if not batches:
+            break
+        cand = np.unique(np.concatenate(batches), axis=0)
+        fresh_mask = np.fromiter(
+            (row.tobytes() not in seen for row in cand), bool, cand.shape[0])
+        frontier = cand[fresh_mask]
+        seen.update(row.tobytes() for row in frontier)
+        if frontier.shape[0]:
+            layers.append(frontier)
+    return np.concatenate(layers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_n=7, max_deg=4), st.booleans(), st.data())
+def test_level_walk_matches_the_bfs(inst, squarefree_only, data):
+    # the walk expands each level of its potential once, highest first;
+    # it must reach the breadth-first orbit and list no row twice.  The
+    # labels are shuffled so that they need not follow the order
+    poset, m = inst
+    perm = data.draw(st.permutations(range(poset.n)))
+    poset = Poset(poset.n, [(perm[j - 1] + 1, perm[i - 1] + 1)
+                            for j, i in poset.covers])
+    m = m[np.argsort(perm)]
+    rows = engine._orbit_rows(poset, m, squarefree_only)
+    walk = monomials.canonical_rows(rows)
+    assert walk.shape == rows.shape
+    assert np.array_equal(walk, monomials.canonical_rows(
+        orbit_rows_bfs(poset, m, squarefree_only)))
+
+
+def _canonical_by_unique(rows):
+    rows = np.unique(rows, axis=0)
+    return rows[np.lexsort(np.vstack([(-rows[:, ::-1]).T, rows.sum(axis=1)]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=30).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), n))))
+def test_canonical_rows_is_unique_then_sorted(rows):
+    assert np.array_equal(monomials.canonical_rows(rows), _canonical_by_unique(rows))
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_closure_is_idempotent(inst):
