@@ -1,8 +1,12 @@
 """Closure of monomials under downward variable exchanges along a poset.
 
-Generators come from a walk over the orbit of m that expands one level
-of a potential at a time, highest first, since every move lowers it; a
-membership certificate is a transport plan and needs no orbit.
+Generators come from a walk over the orbit of m by transport distance
+r(u) = |u - m|_1 / 2, one sorted layer per unit moved.  Layer r + 1 is
+made from layer r by the moves that raise r by one.  That reaches the
+whole orbit: a transport plan from m to u that keeps min(m, u) in place
+has no variable that both sends and receives, so each of its moves
+raises r, and so every orbit member but m has a parent one layer up.
+A membership certificate is such a plan and needs no orbit.
 """
 
 from collections import deque
@@ -50,30 +54,31 @@ def _check_ambient(poset, m):
 
 def _orbit_rows(poset, m, squarefree_only=False):
     # every reachable monomial has deg(m), so the orbit is finite and
-    # already a minimal generating set.  A move x_i -> x_j lowers
-    # phi(u) = sum_k u_k |down(k)| by |down(i)| - |down(j)| >= 1, so the
-    # walk expands the levels of phi from the top: by then every parent
-    # of a level has been expanded, and one dedup per level suffices
-    eye = np.eye(poset.n, dtype=np.int64)
-    dst, src = np.nonzero(poset._leq & (eye == 0))
+    # already a minimal generating set.  The walk goes by transport
+    # distance r(u) = |u - m|_1 / 2.  A move x_s -> x_t raises r by one
+    # iff 0 < u_s <= m_s and u_t >= m_t, and the walk makes only those.
+    # That misses nothing: a transport plan from m to an orbit member u
+    # that keeps min(m, u) in place has no variable that both sends and
+    # receives, so replaying it raises r at every step, and in
+    # square-free mode every step stays square-free.  So each row at
+    # distance r + 1 has a parent at distance r, no row reappears in a
+    # later layer, and one dedup per layer suffices: at most deg m + 1.
+    # Rows are held in the narrowest signed type that holds -1 - deg m,
+    # and so deg m; numpy sorts it by radix, and it shrinks the children
+    # of a layer
+    eye = np.eye(poset.n, dtype=np.min_scalar_type(-1 - int(m.sum())))
+    dst, src = np.nonzero(poset._leq & (eye == 0) & (m > 0))
     step = eye[dst] - eye[src]
-    height = poset._leq.sum(axis=0)
-    drop = height[src] - height[dst]
-    pending = {int(m @ height): [m[None, :]]}
-    levels = []
-    while pending:
-        level = max(pending)
-        frontier = monomials.canonical_rows(np.concatenate(pending.pop(level)))
-        levels.append(frontier)
-        legal = frontier[:, src] > 0
+    layer = m[None, :].astype(eye.dtype)
+    layers = []
+    while layer.shape[0]:
+        layers.append(layer)
+        take = layer >= m
         if squarefree_only:
-            legal &= frontier[:, dst] == 0
-        r, c = np.nonzero(legal)
-        kids = frontier[r] + step[c]
-        kid_drop = drop[c]
-        for d in set(kid_drop.tolist()):
-            pending.setdefault(level - d, []).append(kids[kid_drop == d])
-    return np.concatenate(levels)
+            take &= layer == 0
+        r, c = np.nonzero(((layer > 0) & (layer <= m))[:, src] & take[:, dst])
+        layer = monomials.canonical_rows(layer[r] + step[c])
+    return np.concatenate(layers).astype(np.int64)
 
 
 def generate_principal(poset, m):

@@ -60,7 +60,7 @@ def format_monomial(m):
     """Inverse of parse_monomial, factors in ascending variable order."""
     parts = [
         f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-        for i, e in enumerate(np.asarray(m)) if e > 0
+        for i, e in enumerate(np.asarray(m).tolist()) if e > 0
     ]
     return "*".join(parts) if parts else "1"
 
@@ -109,9 +109,11 @@ def canonical_rows(rows):
     """
     if rows.shape[0] <= 1:
         return rows
-    rows = rows[np.lexsort(np.vstack([(-rows[:, ::-1]).T, rows.sum(axis=1)]))]
+    # sorted ascending on the negated keys and read backwards, so no
+    # negated copy of the rows is made; only equal rows tie
+    rows = rows[np.lexsort((*rows[:, ::-1].T, -rows.sum(axis=1)))[::-1]]
     fresh = np.ones(rows.shape[0], np.bool_)
-    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
     return rows[fresh]
 
 
@@ -226,11 +228,13 @@ def _check_same_ring(I, J):
 
 
 def _accumulate_minimal(blocks, nvars):
-    # running minimalization keeps peak memory at one block; discarding
-    # non-minimal rows early never changes the final minimal set
-    acc = np.zeros((0, nvars), dtype=np.int64)
+    # minimalizing the running rows before each further block keeps peak
+    # memory at about one block; discarding non-minimal rows early never
+    # changes the final minimal set, and the constructor makes the last pass
+    blocks = iter(blocks)
+    acc = next(blocks)
     for block in blocks:
-        acc = _minimal_rows(np.concatenate([acc, block]))
+        acc = np.concatenate([_minimal_rows(acc), block])
     return MonomialIdeal(acc, nvars)
 
 
@@ -285,18 +289,18 @@ def localize_contract(I, members):
     """Contraction of I localized at the prime on the given variables.
 
     For a monomial ideal this is generated by the generators with every
-    exponent outside the variable set zeroed out.
+    exponent outside the variable set zeroed out; when no generator has
+    such an exponent, that is I itself.
     """
     members = frozenset(members)
     for i in members:
         if not 1 <= i <= I.nvars:
             raise ValueError(f"variable index {i} out of range 1..{I.nvars}")
-    if I.is_zero():
-        return MonomialIdeal.zero(I.nvars)
-    rows = I.gens.copy()
     drop = [i for i in range(I.nvars) if (i + 1) not in members]
-    if drop:
-        rows[:, drop] = 0
+    if not I.gens[:, drop].any():
+        return I
+    rows = I.gens.copy()
+    rows[:, drop] = 0
     return MonomialIdeal(rows, I.nvars)
 
 

@@ -120,6 +120,26 @@ def test_chain_closures():
     assert sf.generator_strings() == ["x1*x2", "x1*x3", "x2*x3"]
 
 
+def test_orbit_sorts_one_layer_per_unit_moved(count_calls):
+    # the walk sorts one layer per unit of transport distance from m, so
+    # at most deg m + 1 times, and returns int64 rows however it holds them
+    calls, count = count_calls
+    count(engine.monomials, "canonical_rows")
+    chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
+    rows = engine._orbit_rows(chain, parse_monomial("x8^4", 8))
+    assert rows.shape == (330, 8) and rows.dtype == np.int64
+    assert calls == {"canonical_rows": 5}
+
+
+@pytest.mark.parametrize("d", [127, 128, 255, 256])
+def test_orbit_holds_exponents_past_a_narrow_type(d):
+    # deg m picks the type the walk holds its rows in; the exponents at
+    # either side of a type's limit must come back intact
+    rows = engine._orbit_rows(Poset(2, [(1, 2)]), np.array([0, d], np.int64))
+    assert sorted(rows[:, 0].tolist()) == list(range(d + 1))
+    assert (rows.sum(axis=1) == d).all()
+
+
 def test_transversal_factorization(q11, m49, q3, m23):
     assert transversal_factorization(q11, m49) == [
         (frozenset({1, 4}), 1), (frozenset({6, 7, 9}), 2)]

@@ -134,6 +134,10 @@ def test_localize_contract():
     assert localize_contract(I, {1, 3}).generator_strings() == ["x1", "x3"]
     with pytest.raises(ValueError):
         localize_contract(I, {4})
+    # nothing to zero: the contraction is the ideal itself
+    assert localize_contract(I, {1, 2, 3}) is I
+    for J in (MonomialIdeal.zero(3), MonomialIdeal.unit(3)):
+        assert localize_contract(J, {2}) is J
 
 
 def test_variable_prime():

@@ -135,9 +135,10 @@ def orbit_rows_bfs(poset, m, squarefree_only=False):
 @settings(max_examples=200, deadline=None)
 @given(instances(max_n=7, max_deg=4), st.booleans(), st.data())
 def test_level_walk_matches_the_bfs(inst, squarefree_only, data):
-    # the walk expands each level of its potential once, highest first;
-    # it must reach the breadth-first orbit and list no row twice.  The
-    # labels are shuffled so that they need not follow the order
+    # the walk makes only the moves that take a row one unit further
+    # from m, one layer of transport distance at a time; it must reach
+    # the breadth-first orbit and list no row twice.  The labels are
+    # shuffled so that they need not follow the order
     poset, m = inst
     perm = data.draw(st.permutations(range(poset.n)))
     poset = Poset(poset.n, [(perm[j - 1] + 1, perm[i - 1] + 1)
@@ -219,6 +220,20 @@ def test_staircase_matches_the_walk(I):
         patch.setattr(oracle, "_GRID_CELLS", 0)
         by_walk = _primes_and_witnesses(I)
     assert by_grid == by_walk
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals(), st.data())
+def test_contraction_is_the_ideal_iff_nothing_is_zeroed(I, data):
+    # the contraction returns I itself exactly when no generator uses a
+    # variable outside the set; otherwise it zeroes them and minimalizes
+    members = data.draw(st.sets(st.integers(1, I.nvars)))
+    outside = [i for i in range(I.nvars) if i + 1 not in members]
+    rows = I.gens.copy()
+    rows[:, outside] = 0
+    out = monomials.localize_contract(I, members)
+    assert out == monomials.MonomialIdeal(rows, I.nvars)
+    assert (out is I) == (not I.gens[:, outside].any())
 
 
 def test_moved_properties_catch_wrong_stubs(monkeypatch):
