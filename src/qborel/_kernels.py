@@ -23,17 +23,9 @@ def minimalize_keep(rows, degs):
     if k == 0 or degs[0] == degs[-1]:
         return keep
     starts = np.flatnonzero(np.diff(degs)) + 1
-    bounds = [0, *starts.tolist(), k]
-    for g in range(len(bounds) - 1):
-        a, b = bounds[g], bounds[g + 1]
-        smaller = rows[:a][keep[:a]]
-        if smaller.shape[0] == 0:
-            continue
-        step = max(1, _CHUNK_CELLS // max(1, smaller.shape[0]))
-        for s in range(a, b, step):
-            cand = rows[s:min(s + step, b)]
-            hit = (smaller[None, :, :] <= cand[:, None, :]).all(2).any(1)
-            keep[s:s + cand.shape[0]] = ~hit
+    bounds = [*starts.tolist(), k]
+    for a, b in zip(bounds, bounds[1:]):
+        keep[a:b] = ~divides_any(rows[:a][keep[:a]], rows[a:b])
     return keep
 
 

@@ -81,35 +81,32 @@ def _orbit_rows(poset, m, squarefree_only=False):
     return np.concatenate(layers).astype(np.int64)
 
 
-def generate_principal(poset, m):
-    """Smallest ideal containing m and closed under the exchange moves."""
+def _closure_monomial(poset, m):
+    """Validate a monomial whose closure on the poset is asked for."""
     m = monomials.monomial(m)
     _check_ambient(poset, m)
     if monomials.degree(m) == 0:
         raise ValueError("the closure of the monomial 1 is not defined")
+    return m
+
+
+def generate_principal(poset, m):
+    """Smallest ideal containing m and closed under the exchange moves."""
+    m = _closure_monomial(poset, m)
     return MonomialIdeal(_orbit_rows(poset, m), poset.n)
 
 
 def generate_from_set(poset, ms):
     """Smallest ideal containing every listed monomial and closed under moves."""
-    ms = [monomials.monomial(m) for m in ms]
+    ms = [_closure_monomial(poset, m) for m in ms]
     if not ms:
         raise ValueError("need at least one monomial")
-    rows = []
-    for m in ms:
-        _check_ambient(poset, m)
-        if monomials.degree(m) == 0:
-            raise ValueError("the closure of the monomial 1 is not defined")
-        rows.append(_orbit_rows(poset, m))
-    return MonomialIdeal(np.concatenate(rows), poset.n)
+    return MonomialIdeal(np.concatenate([_orbit_rows(poset, m) for m in ms]), poset.n)
 
 
 def generate_sf_principal(poset, m):
     """Ideal generated by the square-free members of the closure of m."""
-    m = monomials.monomial(m)
-    _check_ambient(poset, m)
-    if monomials.degree(m) == 0:
-        raise ValueError("the closure of the monomial 1 is not defined")
+    m = _closure_monomial(poset, m)
     if not monomials.is_squarefree(m):
         raise ValueError("square-free closure needs a square-free monomial")
     return MonomialIdeal(_orbit_rows(poset, m, squarefree_only=True), poset.n)
@@ -122,10 +119,7 @@ def transversal_factorization(poset, m):
     A_i is the down closure of {i}; the closure ideal is the product of
     the primes on A_i raised to a_i.
     """
-    m = monomials.monomial(m)
-    _check_ambient(poset, m)
-    if monomials.degree(m) == 0:
-        raise ValueError("the closure of the monomial 1 is not defined")
+    m = _closure_monomial(poset, m)
     return [
         (poset.down_closure({i}), int(m[i - 1]))
         for i in sorted(monomials.support(m))

@@ -227,32 +227,29 @@ def _check_same_ring(I, J):
         raise ValueError("ideals live in different variable counts")
 
 
-def _accumulate_minimal(blocks, nvars):
-    # minimalizing the running rows before each further block keeps peak
-    # memory at about one block; discarding non-minimal rows early never
-    # changes the final minimal set, and the constructor makes the last pass
-    blocks = iter(blocks)
-    acc = next(blocks)
-    for block in blocks:
-        acc = np.concatenate([_minimal_rows(acc), block])
-    return MonomialIdeal(acc, nvars)
+def _pairwise(I, J, combine):
+    # rows combine(u, v) over u in G(I) and v in G(J), one block of rows
+    # of I at a time; minimalizing the running rows before each further
+    # block keeps peak memory at about one block, discarding non-minimal
+    # rows early never changes the final minimal set, and the
+    # constructor makes the last pass
+    _check_same_ring(I, J)
+    if I.is_zero() or J.is_zero():
+        return MonomialIdeal.zero(I.nvars)
+    step = max(1, _kernels._CHUNK_CELLS // J.gens.shape[0])
+
+    def block(s):
+        return combine(I.gens[s:s + step, None, :], J.gens[None, :, :]).reshape(-1, I.nvars)
+
+    acc = block(0)
+    for s in range(step, I.gens.shape[0], step):
+        acc = np.concatenate([_minimal_rows(acc), block(s)])
+    return MonomialIdeal(acc, I.nvars)
 
 
 def product(I, J):
     """The product ideal, generated by pairwise products."""
-    _check_same_ring(I, J)
-    if I.is_zero() or J.is_zero():
-        return MonomialIdeal.zero(I.nvars)
-    _check_exponents(I.gens)
-    _check_exponents(J.gens)
-
-    def blocks():
-        step = max(1, _kernels._CHUNK_CELLS // max(1, J.gens.shape[0]))
-        for s in range(0, I.gens.shape[0], step):
-            chunk = I.gens[s:s + step]
-            yield (chunk[:, None, :] + J.gens[None, :, :]).reshape(-1, I.nvars)
-
-    return _accumulate_minimal(blocks(), I.nvars)
+    return _pairwise(I, J, np.add)
 
 
 def powers(I, d):
@@ -272,17 +269,7 @@ def power(I, d):
 
 def intersection(I, J):
     """The intersection ideal, generated by pairwise lcms."""
-    _check_same_ring(I, J)
-    if I.is_zero() or J.is_zero():
-        return MonomialIdeal.zero(I.nvars)
-
-    def blocks():
-        step = max(1, _kernels._CHUNK_CELLS // max(1, J.gens.shape[0]))
-        for s in range(0, I.gens.shape[0], step):
-            chunk = I.gens[s:s + step]
-            yield np.maximum(chunk[:, None, :], J.gens[None, :, :]).reshape(-1, I.nvars)
-
-    return _accumulate_minimal(blocks(), I.nvars)
+    return _pairwise(I, J, np.maximum)
 
 
 def localize_contract(I, members):

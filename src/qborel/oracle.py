@@ -4,13 +4,15 @@ These work from generator arrays alone, never from the poset, so they
 can sit on the other side of an equality check from the closed forms.
 
 Associated primes come from colon witnesses in the box of divisors of
-the lcm of the generators.  A box of at most _GRID_CELLS cells is read
-as a staircase: the boolean membership grid of the ideal, on which one
-vectorized pass finds every witness at once.  A larger box falls back
-to a depth-first walk that classifies the colon of each divisor outside
-the ideal, so its cost follows the complement of the staircase and not
-the box.  Both routes return the same primes and, for each prime, the
-same witness: the first one the walk meets.
+the lcm of the generators.  Every associated prime has a top witness:
+one that sits at the lcm on every axis outside the prime.  A box of at
+most _GRID_CELLS cells is read as a staircase: the boolean membership
+grid of the ideal, on which one test per axis finds every top witness
+at once.  A larger box falls back to a depth-first walk that classifies
+the colon of each divisor outside the ideal, so its cost follows the
+complement of the staircase and not the box.  Both routes return the
+same primes and, for each prime, the same witness: its lex-least top
+witness.
 """
 
 import math
@@ -21,8 +23,9 @@ from . import _kernels, monomials
 from .monomials import MonomialIdeal
 
 # Largest lcm box, in cells, that the staircase route builds.  It holds
-# about five bytes per cell: the membership grid, the witness mask, the
-# raise mask, a uint8 count of each cell's prime and one comparison.
+# about two bytes per cell: the membership grid and the witness mask.
+# Within it the grid has at most 22 axes, so a prime's axis mask fits
+# an int64.
 _GRID_CELLS = 1 << 22
 
 
@@ -36,11 +39,11 @@ def associated_primes_bruteforce(I, return_witnesses=False):
     A divisor f of the lcm of G(I) witnesses the prime on the variable
     set P when I : x^f = <x_c : c in P>.  Every associated prime has
     such a witness in the divisor box: truncating an arbitrary witness
-    at the lcm leaves the colon unchanged.  With return_witnesses the
-    second value maps each prime to its first witness in the preorder
-    of the depth-first walk that raises coordinates in ascending order
-    (f is reached by raising x1 f_1 times, then x2 f_2 times, ...);
-    primes are inserted in the order of their witnesses.
+    at the lcm leaves the colon unchanged.  It also has a top witness,
+    one at the lcm on every axis outside P: raising a witness there
+    leaves the colon unchanged.  With return_witnesses the second value
+    maps each prime to its lex-least top witness, in ascending order of
+    the witnesses.
     """
     if I.is_zero() or I.is_unit():
         raise ValueError("associated primes need a proper nonzero ideal")
@@ -53,88 +56,51 @@ def associated_primes_bruteforce(I, return_witnesses=False):
     else:
         found = _walk_witnesses(gens, bound)
     if return_witnesses:
-        return frozenset(found), found
+        return frozenset(found), {
+            prime: np.array(f, np.int64)
+            for prime, f in sorted(found.items(), key=lambda item: item[1])
+        }
     return frozenset(found)
 
 
 def _staircase_witnesses(gens, bound):
-    """Every prime and its first walk witness from the membership grid.
+    """Every prime and its lex-least top witness from the membership grid.
 
-    For f outside I let P(f) = {c : f + e_c in I}; f on the top face of
-    axis c never has c in P(f).  Then I : x^f is the prime on P(f)
-    exactly when P(f) is nonempty and f raised to the lcm on every axis
-    outside P(f) is still outside I.  The raise is checked one axis at
-    a time, last axis first: raising an axis outside P(f) must leave
-    the point outside I and must not grow P, and since P can only grow
-    under a raise, comparing the sizes of P suffices.
+    A cell f outside I whose every axis below the top steps into I is a
+    top witness of the prime on those axes: x_c lies in I : x^f for each
+    such c, and a monomial in none of them raises f only on axes already
+    at the lcm, so its product with x^f stays outside I.  The all-top
+    cell is the lcm, which lies in I, so that prime is never empty.
     """
     axes = np.flatnonzero(bound)
     top = bound[axes]
-    d = axes.size
     # variables no generator uses never join a prime and are left out,
     # which keeps the grid within numpy's dimension limit
     inside = np.zeros(tuple((top + 1).tolist()), np.bool_)
     inside[tuple(gens[:, axes].T)] = True
-    for a in range(d):
+    for a in range(axes.size):
         np.logical_or.accumulate(inside, axis=a, out=inside)
-    # index tuples per axis: cells below the top face, the cells one
-    # step up from those, and the top face itself (kept as an axis)
-    lead = [(slice(None),) * a for a in range(d)]
-    below = [h + (slice(None, -1),) for h in lead]
-    above = [h + (slice(1, None),) for h in lead]
-    face = [h + (slice(-1, None),) for h in lead]
-    size = np.zeros(inside.shape, np.uint8)
-    for a in range(d):
-        size[below[a]] += inside[above[a]]
-    # after axis a, ok[f] says that f raised to the top on the axes from
-    # a on outside P(f) is outside I and has the same P
     ok = ~inside
-    lift = np.zeros(inside.shape, np.bool_)
-    for a in reversed(range(d)):
-        lift[face[a]] = False
-        np.logical_not(inside[above[a]], out=lift[below[a]])
-        stays = size == size[face[a]]
-        stays &= ok[face[a]]
-        np.copyto(ok, stays, where=lift)
-    ok &= size > 0
-
-    # Two witnesses that agree before axis a meet in the walk's preorder
-    # as follows: one with no nonzero coordinate after a comes first,
-    # lowest f_a first; among the rest the highest f_a comes first.
-    # rank encodes that order in mixed radix 2 * top_a + 3.  Each radix
-    # is at most 3 * (top_a + 1), so rank stays below 3^d times the cell
-    # count, under 2^57 within the budget.  Witnesses are flat C-order
-    # indices, so the coordinates after axis a are the index modulo
-    # that axis' stride.
-    shape = inside.shape
-    cell_inside = inside.reshape(-1)
-    flat = np.flatnonzero(ok)
-    code = np.zeros(flat.size, np.int64)
-    rank = np.zeros(flat.size, np.int64)
-    for a in range(d):
-        stride = math.prod(shape[a + 1:])
-        fa = flat // stride % shape[a]
-        inner = fa < top[a]
-        # bit a of code: axis a is in P(f)
-        up = cell_inside[np.where(inner, flat + stride, flat)] & inner
-        code |= up.astype(np.int64) << a
-        tail = flat % stride > 0
-        rank = rank * (2 * top[a] + 3) + np.where(tail, 2 * top[a] + 2 - fa, fa)
-    order = np.argsort(rank)
-    _, first = np.unique(code[order], return_index=True)
+    for a in range(axes.size):
+        lead = (slice(None),) * a
+        ok[lead + (slice(None, -1),)] &= inside[lead + (slice(1, None),)]
+    # C order is lex order, so the first cell of each prime is its least
+    cells = np.stack(np.unravel_index(np.flatnonzero(ok), ok.shape), axis=1)
+    below = cells < top
+    _, first = np.unique(below @ (1 << np.arange(axes.size)), return_index=True)
     found = {}
-    for i in order[np.sort(first)].tolist():
+    for i in first.tolist():
         f = np.zeros(bound.size, np.int64)
-        f[axes] = np.unravel_index(flat[i], shape)
-        prime = frozenset(int(axes[a]) + 1 for a in range(d) if code[i] >> a & 1)
-        found[prime] = f
+        f[axes] = cells[i]
+        found[frozenset((axes[below[i]] + 1).tolist())] = f.tolist()
     return found
 
 
 def _walk_witnesses(gens, bound):
-    """Every prime and its first witness by a depth-first divisor walk.
+    """Every prime and its lex-least top witness by a depth-first walk.
 
-    Members of I are pruned with their whole multiple subtree, since
+    Each witness met is raised to the lcm outside its prime, which
+    leaves its colon unchanged.  Members of I are pruned with their whole multiple subtree, since
     their colons are the unit ideal.
     """
     n = bound.size
@@ -147,8 +113,9 @@ def _walk_witnesses(gens, bound):
         code = _kernels.colon_class(gens, f, vbuf)
         if code == 1:
             prime = frozenset(int(i) + 1 for i in np.flatnonzero(vbuf))
-            if prime not in found:
-                found[prime] = f.copy()
+            raised = np.where(vbuf, f, bound).tolist()
+            if prime not in found or raised < found[prime]:
+                found[prime] = raised
         return code != 0
 
     # Preorder walk with an explicit stack, since a chain can be as long

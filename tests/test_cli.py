@@ -325,6 +325,16 @@ def test_exponent_overflow_names_the_range(capsys, q11_path):
     assert code == cli.EXIT_OK
 
 
+def test_power_past_the_range_names_it(capsys, tmp_path):
+    # one variable, so the closure of x1^(2^30 + 1) is that one monomial
+    # and only its square, x1^(2^31 + 2), passes the range
+    path = tmp_path / "q1.json"
+    path.write_text('{"n": 1, "covers": []}')
+    code, out, err = run_cli(capsys, "power", str(path), "x1^1073741825", "-d", "2")
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert err.splitlines() == ["error: exponent exceeds the supported range"]
+
+
 def test_out_of_memory_exits_3(capsys, monkeypatch, q3_path):
     def exhausted(poset, m):
         raise MemoryError("Unable to allocate 8.00 EiB for an array")

@@ -120,6 +120,14 @@ def test_product_and_power():
         product(I, MonomialIdeal.unit(3))
 
 
+def test_product_past_the_range_overflows():
+    # every generator is below 2^31, so only the sum can pass it, and
+    # the constructor of the product checks that sum
+    I = MonomialIdeal.from_strings(["x1^1073741825"], 1)
+    with pytest.raises(OverflowError):
+        product(I, I)
+
+
 def test_intersection():
     A = MonomialIdeal.from_strings(["x2"], 3)
     B = MonomialIdeal.from_strings(["x1", "x3"], 3)

@@ -49,10 +49,14 @@ def check_q11_witnesses(q11, m49):
         # I : f, from the quotients of the generators by f
         quotients = np.clip(I.gens - f[None, :], 0, None)
         assert MonomialIdeal(quotients, I.nvars) == variable_prime(prime, I.nvars)
-    # the first witness the depth-first walk meets for each prime
+    # the lex-least top witness of each prime: at the lcm x1*x4*x6^2*x7^2*x9^2
+    # outside the prime, outside I, and in I after one more step on any
+    # axis of the prime.  I = <x1,x4>*<x6,x7,x9>^2, so <x1,x4> has only
+    # x6^2*x7^2*x9^2, and <x6,x7,x9> has x1*x4 times one of x6, x7, x9,
+    # of which x9 is lex-least
     assert {p: format_monomial(f) for p, f in witnesses.items()} == {
-        frozenset({1, 4}): "x6^2",
-        frozenset({6, 7, 9}): "x1*x4*x6",
+        frozenset({1, 4}): "x6^2*x7^2*x9^2",
+        frozenset({6, 7, 9}): "x1*x4*x9",
     }
 
 

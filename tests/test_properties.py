@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -220,6 +220,35 @@ def test_staircase_matches_the_walk(I):
         patch.setattr(oracle, "_GRID_CELLS", 0)
         by_walk = _primes_and_witnesses(I)
     assert by_grid == by_walk
+
+
+def _top_witnesses_by_colons(I):
+    # every cell f of the lcm box in lex order, with I : x^f read off
+    # the clipped quotients of the generators; a prime colon counts when
+    # f sits at the lcm outside the prime, and the first such f is kept
+    bound = I.gens.max(axis=0).tolist()
+    found = {}
+    for f in product(*(range(b + 1) for b in bound)):
+        colon = monomials.MonomialIdeal(np.clip(I.gens - np.array(f), 0, None), I.nvars)
+        if (colon.degrees() != 1).any():
+            continue
+        prime = monomials.support(colon.gens.sum(axis=0))
+        if all(f[c] == bound[c] for c in range(I.nvars) if c + 1 not in prime):
+            found.setdefault(prime, list(f))
+    return frozenset(found), sorted(found.items(), key=lambda item: item[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals(max_gens=5))
+def test_witnesses_match_every_colon_of_the_box(I):
+    # boxes of at most 4^5 = 1,024 cells: both routes give exactly the
+    # prime colons, each with its lex-least top witness, in that order
+    assume(not I.is_unit())
+    want = _top_witnesses_by_colons(I)
+    assert _primes_and_witnesses(I) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_GRID_CELLS", 0)
+        assert _primes_and_witnesses(I) == want
 
 
 @settings(max_examples=100, deadline=None)
