@@ -188,8 +188,7 @@ def _cmd_invariants(args):
 def _cmd_verify(args):
     names = args.properties.split(",") if args.properties else None
     reports = verify.run_suite(
-        args.seed, args.trials, args.max_n, args.max_deg,
-        properties=names, jobs=args.jobs)
+        args.seed, args.trials, args.max_n, args.max_deg, properties=names)
     lines = [f"seed={args.seed} trials={args.trials} "
              f"max-n={args.max_n} max-deg={args.max_deg} backend={_kernels.BACKEND}"]
     lines += [f"{r.name}: {r.passed}/{r.total}" for r in reports]
@@ -257,7 +256,6 @@ def _build_parser():
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--max-deg", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--properties", help="comma-separated property names")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=_cmd_verify)

@@ -9,8 +9,9 @@ one that sits at the lcm on every axis outside the prime.  A box of at
 most _GRID_CELLS cells is read as a staircase: the boolean membership
 grid of the ideal, on which one test per axis finds every top witness
 at once.  A larger box falls back to a depth-first walk that classifies
-the colon of each divisor outside the ideal, so its cost follows the
-complement of the staircase and not the box.  Both routes return the
+the colon of each divisor outside the ideal whose exponents are 0, one
+below some generator's or the lcm's, so its cost follows the distinct
+exponents of the generators, not their size.  Both routes return the
 same primes and, for each prime, the same witness: its lex-least top
 witness.
 """
@@ -99,47 +100,39 @@ def _staircase_witnesses(gens, bound):
 def _walk_witnesses(gens, bound):
     """Every prime and its lex-least top witness by a depth-first walk.
 
-    Each witness met is raised to the lcm outside its prime, which
-    leaves its colon unchanged.  Members of I are pruned with their whole multiple subtree, since
-    their colons are the unit ideal.
+    On each axis c the walk visits only 0, u_c - 1 for each generator u
+    with u_c > 0, and the lcm exponent.  Every top witness lies on that
+    grid: on an axis of its prime one more step enters I, so some
+    generator sits one above it there.  A step raises one axis no
+    smaller than the last one raised, so each cell is reached once, and
+    every cell on the way to a witness divides it and lies outside I.
+    Members of I are pruned with their multiples, whose colons are the
+    unit ideal.  Each prime witness met is raised to the lcm outside its
+    prime, which leaves its colon unchanged.
     """
-    n = bound.size
-    f = np.zeros(n, dtype=np.int64)
-    vbuf = np.zeros(n, dtype=np.bool_)
+    step = []
+    for col, top in zip(gens.T, bound.tolist()):
+        vals = np.unique(np.append(col[col > 0] - 1, [0, top])).tolist()
+        step.append(dict(zip(vals, vals[1:])))
+    vbuf = np.zeros(bound.size, dtype=np.bool_)
     found = {}
-
-    def visit():
-        # classify I : f, record a prime colon; False when f lies in I
+    stack = [(np.zeros(bound.size, dtype=np.int64), 0)]
+    while stack:
+        f, first = stack.pop()
         code = _kernels.colon_class(gens, f, vbuf)
+        if code == 0:
+            continue
         if code == 1:
             prime = frozenset(int(i) + 1 for i in np.flatnonzero(vbuf))
             raised = np.where(vbuf, f, bound).tolist()
             if prime not in found or raised < found[prime]:
                 found[prime] = raised
-        return code != 0
-
-    # Preorder walk with an explicit stack, since a chain can be as long
-    # as the degree of the lcm.  Each step raises one coordinate no
-    # smaller than the last one raised, so every divisor is reached once.
-    # A frame holds the next coordinate to try and the one raised to
-    # enter the frame (-1 at the root).
-    stack = [[0, -1]] if visit() else []
-    while stack:
-        frame = stack[-1]
-        c = frame[0]
-        while c < n and f[c] >= bound[c]:
-            c += 1
-        if c == n:
-            stack.pop()
-            if frame[1] >= 0:
-                f[frame[1]] -= 1
-            continue
-        frame[0] = c + 1
-        f[c] += 1
-        if visit():
-            stack.append([c, c])
-        else:
-            f[c] -= 1
+        for c in range(first, bound.size):
+            nxt = step[c].get(int(f[c]))
+            if nxt is not None:
+                g = f.copy()
+                g[c] = nxt
+                stack.append((g, c))
     return found
 
 

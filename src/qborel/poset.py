@@ -35,8 +35,7 @@ class Poset:
             np.logical_or(rel, rel[:, k:k + 1] & rel[k:k + 1, :], out=rel)
         if rel.diagonal().any():
             raise ValueError("relations contain a cycle")
-        implied = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
-        cov = rel & ~implied
+        cov = rel & ~(rel @ rel)
         self.n = n
         self.covers = frozenset(
             (int(j) + 1, int(i) + 1) for j, i in zip(*np.nonzero(cov))

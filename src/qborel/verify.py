@@ -2,12 +2,11 @@
 
 Each property draws seeded random instances and compares an independent
 computation against the closed form; a trial passes when every check on
-the instance holds.  Trials are reproducible from (seed, property,
-index) alone, so a worker pool returns the same report as a plain loop.
+the instance holds.  Each trial is reproducible from (seed, property,
+index) alone.
 """
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,29 +297,16 @@ def run_trial(name, seed, index, max_n, max_deg):
     return PROPERTIES[name][1](*draw_instance(name, seed, index, max_n, max_deg))
 
 
-def _run_trial_args(args):
-    return run_trial(*args)
-
-
-def run_suite(seed, trials, max_n, max_deg, properties=None, jobs=1):
+def run_suite(seed, trials, max_n, max_deg, properties=None):
     """Run every property for the given trial count and aggregate."""
     names = list(PROPERTIES) if properties is None else list(properties)
     for name in names:
         if name not in PROPERTIES:
             raise ValueError(f"unknown property {name!r}")
-    tasks = [
-        (name, seed, index, max_n, max_deg)
-        for name in names
-        for index in range(trials)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_trial_args, tasks, chunksize=8))
-    else:
-        outcomes = [_run_trial_args(t) for t in tasks]
     reports = []
-    for k, name in enumerate(names):
-        chunk = outcomes[k * trials:(k + 1) * trials]
+    for name in names:
+        chunk = [run_trial(name, seed, index, max_n, max_deg)
+                 for index in range(trials)]
         failures = [msg for fails in chunk for msg in fails]
         passed = sum(1 for fails in chunk if not fails)
         reports.append(PropertyReport(name, passed, trials, failures))

@@ -109,15 +109,26 @@ def test_sympow_both_detects_mismatch(capsys, q3_path, monkeypatch):
 
 
 def test_sympow_oracle_deep_witness_search(capsys, tmp_path):
-    # 1201 divisors in one chain: the staircase route reads them as one
-    # grid axis, and the walk, which takes boxes over the cell budget,
-    # must step down the chain without recursing
+    # 1201 divisors in one chain, within the cell budget: the staircase
+    # route reads them as one grid axis
     path = tmp_path / "q1.json"
     path.write_text('{"n": 1, "covers": []}')
     code, out, _ = run_cli(capsys, "sympow", str(path), "x1^1200",
                            "-d", "1", "--method", "oracle")
     assert code == 0
     assert out.splitlines() == ["x1^1200"]
+
+
+def test_sympow_oracle_past_the_cell_budget(capsys, tmp_path):
+    # 2^30 + 2 divisors in one chain go to the walk, which steps only
+    # to x1^(2^30) and the lcm instead of through every divisor
+    path = tmp_path / "q1.json"
+    path.write_text('{"n": 1, "covers": []}')
+    for method in ("oracle", "both"):
+        code, out, _ = run_cli(capsys, "sympow", str(path), "x1^1073741825",
+                               "-d", "1", "--method", method)
+        assert code == 0
+        assert out.splitlines() == ["x1^1073741825"]
 
 
 def test_spread_all(capsys, q3_path, q11_path):

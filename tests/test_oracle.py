@@ -93,6 +93,19 @@ def test_wide_maximal_ideal_takes_the_walk(monkeypatch):
     assert len(calls) == 71
 
 
+def test_walk_steps_over_unused_exponents(monkeypatch, count_calls):
+    # x1^65536 has 65,537 divisors, but the walk visits only 1, x1^65535
+    # (one below the generator, the prime witness) and the lcm
+    calls, count = count_calls
+    count(_kernels, "colon_class")
+    monkeypatch.setattr(oracle, "_GRID_CELLS", 0)
+    I = MonomialIdeal.from_strings(["x1^65536"], 1)
+    found, witnesses = associated_primes_bruteforce(I, return_witnesses=True)
+    assert found == primes({1})
+    assert witnesses[frozenset({1})].tolist() == [65535]
+    assert calls["colon_class"] <= 3
+
+
 def test_symbolic_bruteforce_principal():
     I = MonomialIdeal.from_strings(["x1^2*x2"], 2)
     assert symbolic_power_bruteforce(I, powers(I, 3)) == powers(I, 3)

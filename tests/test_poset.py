@@ -11,6 +11,13 @@ def test_covers_are_reduced():
     assert p.leq(1, 3)
 
 
+def test_long_chain_has_only_consecutive_covers():
+    # x1 < x258 passes through 256 elements, a count that wraps a byte
+    p = Poset(258, [(i, i + 1) for i in range(1, 258)])
+    assert len(p.covers) == 257
+    assert (1, 258) not in p.covers
+
+
 def test_equivalent_inputs_compare_equal():
     a = Poset(3, [(1, 2), (2, 3)])
     b = Poset(3, [(2, 3), (1, 3), (1, 2)])

@@ -329,12 +329,6 @@ def test_run_trial_reproducible():
     assert first == second == []
 
 
-def test_run_suite_jobs_agree():
-    serial = verify.run_suite(3, 4, 4, 2, jobs=1)
-    parallel = verify.run_suite(3, 4, 4, 2, jobs=2)
-    assert serial == parallel
-
-
 def test_all_properties_pass_small_run():
     reports = verify.run_suite(0, 5, 5, 3)
     assert [r.name for r in reports] == list(verify.PROPERTIES)

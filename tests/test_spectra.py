@@ -7,6 +7,7 @@ import pytest
 from qborel import (
     MonomialIdeal,
     Poset,
+    TheoremViolation,
     associated_primes,
     component_decomposition,
     containment_invariants,
@@ -150,6 +151,20 @@ def test_containment_invariants_principal():
     data = containment_invariants(anti, parse_monomial("x1^2*x2", 3), 3)
     assert data.sdefect == (0, 0, 0)
     assert data.waldschmidt == 3
+
+
+def test_containment_catches_a_power_escaping_the_last(monkeypatch):
+    # <x1*x2^5> in place of I^3 for I = <x1*x2>: it equals its own
+    # contraction at <x1> and <x2> and has degree 3*deg(m), so only the
+    # containment test sees that it escapes I^2
+    real = monomials.powers
+
+    def escaping(I, d):
+        return real(I, d)[:2] + (MonomialIdeal.from_strings(["x1*x2^5"], 2),)
+
+    monkeypatch.setattr(monomials, "powers", escaping)
+    with pytest.raises(TheoremViolation, match="power 3 escapes power 2"):
+        containment_invariants(Poset(2, []), parse_monomial("x1*x2", 2), 3)
 
 
 def test_power_chain_is_built_once(q11, m49, count_calls):
