@@ -22,12 +22,9 @@ from .monomials import (
     MonomialIdeal,
     alpha,
     degree,
-    divides,
     format_monomial,
-    gcd,
     intersection,
     is_squarefree,
-    lcm,
     localize_contract,
     monomial,
     parse_monomial,
@@ -61,7 +58,6 @@ from .spread import (
     analytic_spread_rank,
     analytic_spread_sf,
     check_transitive_closure_theorem,
-    exponent_matrix,
     integer_rank,
     linear_relation_graph,
     spread_via_relation_graph,

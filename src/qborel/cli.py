@@ -208,6 +208,12 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -253,9 +259,9 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="randomized identity checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--max-deg", type=int, default=3)
+    p.add_argument("--trials", type=_positive_int, default=20)
+    p.add_argument("--max-n", type=_positive_int, default=6)
+    p.add_argument("--max-deg", type=_positive_int, default=3)
     p.add_argument("--properties", help="comma-separated property names")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=_cmd_verify)

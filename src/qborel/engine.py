@@ -7,6 +7,10 @@ whole orbit: a transport plan from m to u that keeps min(m, u) in place
 has no variable that both sends and receives, so each of its moves
 raises r, and so every orbit member but m has a parent one layer up.
 A membership certificate is such a plan and needs no orbit.
+
+Every row has degree deg m, so the layers are deduped and sorted on
+their columns alone, and descending lex order is canonical: the ideal
+takes the walk's rows with no second sort and no minimalization.
 """
 
 from collections import deque
@@ -62,23 +66,36 @@ def _orbit_rows(poset, m, squarefree_only=False):
     # receives, so replaying it raises r at every step, and in
     # square-free mode every step stays square-free.  So each row at
     # distance r + 1 has a parent at distance r, no row reappears in a
-    # later layer, and one dedup per layer suffices: at most deg m + 1.
-    # Rows are held in the narrowest signed type that holds -1 - deg m,
-    # and so deg m; numpy sorts it by radix, and it shrinks the children
-    # of a layer
+    # later layer, and one dedup per nonempty layer past m suffices: at
+    # most deg m.  Rows all have degree deg m, so they sort on their
+    # columns alone, and canonical order is descending lex; the layers
+    # get one such sort together.  Rows, and m with them so that
+    # comparisons need no upcast, are held in the narrowest signed type
+    # that holds -1 - deg m, and so deg m; numpy sorts it by radix, and
+    # it shrinks the children of a layer
     eye = np.eye(poset.n, dtype=np.min_scalar_type(-1 - int(m.sum())))
-    dst, src = np.nonzero(poset._leq & (eye == 0) & (m > 0))
+    dst, src = (poset._leq & (eye == 0) & (m > 0)).nonzero()
     step = eye[dst] - eye[src]
-    layer = m[None, :].astype(eye.dtype)
+    m = m.astype(eye.dtype)
+    layer = m[None, :]
     layers = []
-    while layer.shape[0]:
+    while True:
         layers.append(layer)
         take = layer >= m
         if squarefree_only:
             take &= layer == 0
-        r, c = np.nonzero(((layer > 0) & (layer <= m))[:, src] & take[:, dst])
-        layer = monomials.canonical_rows(layer[r] + step[c])
-    return np.concatenate(layers).astype(np.int64)
+        r, c = (((layer > 0) & (layer <= m))[:, src] & take[:, dst]).nonzero()
+        if not r.size:
+            break
+        layer = layer[r] + step[c]
+        layer = monomials.drop_repeats(layer[_lex_order(layer)])
+    rows = np.concatenate(layers)
+    return rows[_lex_order(rows)[::-1]].astype(np.int64)
+
+
+def _lex_order(rows):
+    # indices that put the rows in ascending lex order, first column first
+    return np.lexsort(rows.T[::-1])
 
 
 def _closure_monomial(poset, m):
@@ -93,7 +110,7 @@ def _closure_monomial(poset, m):
 def generate_principal(poset, m):
     """Smallest ideal containing m and closed under the exchange moves."""
     m = _closure_monomial(poset, m)
-    return MonomialIdeal(_orbit_rows(poset, m), poset.n)
+    return MonomialIdeal._from_canonical(_orbit_rows(poset, m), poset.n)
 
 
 def generate_from_set(poset, ms):
@@ -109,7 +126,8 @@ def generate_sf_principal(poset, m):
     m = _closure_monomial(poset, m)
     if not monomials.is_squarefree(m):
         raise ValueError("square-free closure needs a square-free monomial")
-    return MonomialIdeal(_orbit_rows(poset, m, squarefree_only=True), poset.n)
+    rows = _orbit_rows(poset, m, squarefree_only=True)
+    return MonomialIdeal._from_canonical(rows, poset.n)
 
 
 def transversal_factorization(poset, m):

@@ -74,18 +74,6 @@ def support(m):
     return frozenset(int(i) + 1 for i in np.flatnonzero(np.asarray(m)))
 
 
-def divides(a, b):
-    return bool((np.asarray(a) <= np.asarray(b)).all())
-
-
-def lcm(a, b):
-    return np.maximum(np.asarray(a), np.asarray(b)).astype(np.int64)
-
-
-def gcd(a, b):
-    return np.minimum(np.asarray(a), np.asarray(b)).astype(np.int64)
-
-
 def is_squarefree(m):
     return bool((np.asarray(m) <= 1).all())
 
@@ -111,9 +99,14 @@ def canonical_rows(rows):
         return rows
     # sorted ascending on the negated keys and read backwards, so no
     # negated copy of the rows is made; only equal rows tie
-    rows = rows[np.lexsort((*rows[:, ::-1].T, -rows.sum(axis=1)))[::-1]]
-    fresh = np.ones(rows.shape[0], np.bool_)
-    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    return drop_repeats(rows[np.lexsort((*rows[:, ::-1].T, -rows.sum(axis=1)))[::-1]])
+
+
+def drop_repeats(rows):
+    """Sorted rows without the repeats, each of which follows its row."""
+    fresh = np.empty(rows.shape[0], np.bool_)
+    fresh[:1] = True
+    (rows[1:] != rows[:-1]).any(axis=1, out=fresh[1:])
     return rows[fresh]
 
 
@@ -158,9 +151,20 @@ class MonomialIdeal:
         return cls(np.zeros((1, nvars), dtype=np.int64), nvars)
 
     @classmethod
-    def principal(cls, m):
-        m = monomial(m)
-        return cls(m[None, :], m.shape[0])
+    def _from_canonical(cls, rows, nvars):
+        """Wrap int64 rows already distinct, of one degree and canonical.
+
+        Such rows are their own minimal generators in canonical order,
+        so nothing is sorted or minimalized.  Their exponents are at
+        most their degree, so only a degree of 2^31 or more is checked.
+        """
+        if int(rows[0].sum()) >= _EXPONENT_LIMIT:
+            _check_exponents(rows)
+        rows.flags.writeable = False
+        ideal = cls.__new__(cls)
+        ideal.gens = rows
+        ideal.nvars = nvars
+        return ideal
 
     @classmethod
     def from_strings(cls, texts, nvars):

@@ -231,11 +231,12 @@ def poset_from_json(text):
     if not isinstance(doc, dict) or "n" not in doc or "covers" not in doc:
         raise ParseError("poset JSON needs keys 'n' and 'covers'")
     n, covers = doc["n"], doc["covers"]
-    if not isinstance(n, int):
+    # JSON true and false load as bool, which is an int subclass
+    if type(n) is not int:
         raise ParseError("'n' must be an integer")
     if not isinstance(covers, list) or any(
             not isinstance(c, list) or len(c) != 2
-            or not all(isinstance(v, int) for v in c) for c in covers):
+            or not all(type(v) is int for v in c) for c in covers):
         raise ParseError("'covers' must be a list of [lower, upper] pairs")
     try:
         return Poset(n, [tuple(c) for c in covers])

@@ -7,7 +7,8 @@ component by component of its Hasse diagram.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+
+import numpy as np
 
 from . import engine, monomials, oracle
 from .errors import TheoremViolation
@@ -42,19 +43,35 @@ def associated_primes(poset, m):
     A variable prime is associated iff it is generated by the connected
     order ideal of a divisor of m; since the order ideal of a divisor
     only depends on its support, subsets of supp(m) cover all cases.
+
+    The order ideal of a subset S is the union of the down-sets down(i),
+    i in S, and it is connected iff those down-sets chain by overlaps:
+    - down(i) is connected, since saturated chains join each of its
+      members to i inside it, so overlapping down-sets have a connected
+      union;
+    - a Hasse edge, a cover a < b, with a in down(i) and b in down(j)
+      puts a in down(j), so unions of down-sets that do not overlap
+      share no Hasse edge.
+    So the primes are the unions reached from single down-sets by adding
+    one that meets the union so far, each held as an int bitmask.
     """
     m = monomials.monomial(m)
     engine._check_ambient(poset, m)
     if monomials.degree(m) == 0:
         raise ValueError("the monomial 1 has no associated primes")
-    supp = sorted(monomials.support(m))
-    connected = {}
-    for r in range(1, len(supp) + 1):
-        for sub in combinations(supp, r):
-            ideal = poset.down_closure(sub)
-            if ideal not in connected:
-                connected[ideal] = len(poset.connected_components(ideal)) == 1
-    return frozenset(ideal for ideal, ok in connected.items() if ok)
+    down = [sum(1 << j for j in np.flatnonzero(poset._leq[:, i]).tolist())
+            for i in np.flatnonzero(m).tolist()]
+    found = set(down)
+    todo = list(found)
+    while todo:
+        union = todo.pop()
+        for d in down:
+            if union & d and union | d not in found:
+                found.add(union | d)
+                todo.append(union | d)
+    return frozenset(
+        frozenset(j + 1 for j in range(union.bit_length()) if union >> j & 1)
+        for union in found)
 
 
 def max_associated_primes(poset, m):

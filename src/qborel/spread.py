@@ -15,11 +15,6 @@ from .poset import Graph, transitive_closure
 from .spectra import order_ideal
 
 
-def exponent_matrix(I):
-    """Generator exponent vectors as columns, canonical generator order."""
-    return np.ascontiguousarray(I.gens.T)
-
-
 def integer_rank(mat):
     """Exact rank of an integer matrix over the rationals."""
     mat = np.asarray(mat, dtype=np.int64)
@@ -34,7 +29,7 @@ def analytic_spread_rank(I):
         raise ValueError("the zero ideal has no analytic spread")
     if not I.is_equigenerated():
         raise ValueError("the rank formula needs an equigenerated ideal")
-    return integer_rank(exponent_matrix(I))
+    return integer_rank(I.gens.T)
 
 
 def analytic_spread_principal(poset, m):

@@ -214,6 +214,30 @@ def test_exit_parse_errors(capsys, q3_path, tmp_path):
     assert code == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("doc", [
+    '{"n": true, "covers": []}',
+    '{"n": 3, "covers": [[true, 3]]}',
+    '{"n": 3, "covers": [[2, 3], [true, 2]]}',
+])
+def test_json_booleans_are_not_integers(capsys, tmp_path, doc):
+    # json loads true as a bool, an int subclass worth 1
+    path = tmp_path / "bool.json"
+    path.write_text(doc)
+    code, out, err = run_cli(capsys, "gen", str(path), "x1")
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--max-n", "--max-deg"])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_verify_counts_must_be_positive(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == cli.EXIT_PARSE
+    assert f"argument {flag}: expected a positive integer, got '{value}'" in err
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
     # the JSON decoder recurses once per bracket
     deep = tmp_path / "deep.json"

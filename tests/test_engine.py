@@ -15,7 +15,7 @@ from qborel import (
     parse_monomial,
     transversal_factorization,
 )
-from qborel import engine
+from qborel import engine, monomials
 
 # the twelve generators of the closure of x4*x9^2 on the 11-element poset
 Q11_GENS = {
@@ -62,7 +62,7 @@ def test_generate_antichain():
     anti = Poset(4, [])
     m = parse_monomial("x2^2*x3", 4)
     I = generate_principal(anti, m)
-    assert I == MonomialIdeal.principal(m)
+    assert I == MonomialIdeal(m[None, :], 4)
 
 
 def test_generate_rejects_unit(q3):
@@ -121,14 +121,55 @@ def test_chain_closures():
 
 
 def test_orbit_sorts_one_layer_per_unit_moved(count_calls):
-    # the walk sorts one layer per unit of transport distance from m, so
-    # at most deg m + 1 times, and returns int64 rows however it holds them
+    # the walk dedups one layer per unit of transport distance from m,
+    # so at most deg m times, then sorts all layers once, and returns
+    # int64 rows however it holds them
     calls, count = count_calls
-    count(engine.monomials, "canonical_rows")
+    count(engine.monomials, "drop_repeats")
+    count(engine, "_lex_order")
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
     rows = engine._orbit_rows(chain, parse_monomial("x8^4", 8))
     assert rows.shape == (330, 8) and rows.dtype == np.int64
-    assert calls == {"canonical_rows": 5}
+    assert calls == {"drop_repeats": 4, "_lex_order": 5}
+
+
+def test_closure_skips_the_constructor_sort(count_calls, monkeypatch):
+    # the walk's rows are distinct, of one degree and canonical already,
+    # so the ideal takes them as they are: equal to what the constructor
+    # would make of them, and read-only
+    calls, count = count_calls
+    count(monomials, "canonical_rows")
+
+    def init(self, *args):
+        raise AssertionError("the closure went through the constructor")
+
+    chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
+    m = parse_monomial("x8^4", 8)
+    rows = engine._orbit_rows(chain, m)
+    with monkeypatch.context() as patch:
+        patch.setattr(MonomialIdeal, "__init__", init)
+        I = generate_principal(chain, m)
+        sf = generate_sf_principal(chain, parse_monomial("x2*x5*x8", 8))
+    assert not calls
+    assert np.array_equal(I.gens, MonomialIdeal(rows, 8).gens)
+    assert I.gens.dtype == np.int64 and not I.gens.flags.writeable
+    assert I == MonomialIdeal(rows[::-1], 8)
+    assert sf.generator_strings()[0] == "x1*x2*x3" and len(sf) == 30
+
+
+def test_closure_past_the_range_overflows(monkeypatch):
+    # every exponent stays at most deg m, so only a degree at the limit
+    # is checked; a closure that gathers the degree on one variable
+    # must still be refused with the constructor's message
+    monkeypatch.setattr(monomials, "_EXPONENT_LIMIT", 4)
+    chain = Poset(2, [(1, 2)])
+    assert len(generate_principal(chain, parse_monomial("x1*x2^2", 2))) == 3
+    with pytest.raises(OverflowError, match="exponent exceeds the supported range"):
+        generate_principal(chain, parse_monomial("x1^2*x2^2", 2))
+    # square-free rows never leave the range, whatever their degree
+    sf = generate_sf_principal(Poset(4, [(1, 2), (1, 3), (1, 4)]),
+                               parse_monomial("x1*x2*x3*x4", 4))
+    assert sf.generator_strings() == ["x1*x2*x3*x4"]
 
 
 @pytest.mark.parametrize("d", [127, 128, 255, 256])

@@ -6,12 +6,9 @@ from qborel import (
     ParseError,
     alpha,
     degree,
-    divides,
     format_monomial,
-    gcd,
     intersection,
     is_squarefree,
-    lcm,
     localize_contract,
     monomial,
     parse_monomial,
@@ -55,10 +52,6 @@ def test_monomial_validation():
 def test_pointwise_helpers():
     a = monomial([1, 2, 0])
     b = monomial([0, 1, 1])
-    assert divides(b, lcm(a, b)) and divides(a, lcm(a, b))
-    assert list(lcm(a, b)) == [1, 2, 1]
-    assert list(gcd(a, b)) == [0, 1, 0]
-    assert not divides(a, b)
     assert is_squarefree(b) and not is_squarefree(a)
     assert list(restrict(a, {2})) == [0, 2, 0]
     with pytest.raises(ValueError):

@@ -186,7 +186,8 @@ def ideals(draw, max_n=5, max_gens=4, max_exp=3):
 @given(instances(max_deg=4))
 def test_support_scan_sees_every_divisor(inst):
     # the order ideal of a divisor depends on its support alone, so
-    # scanning supp(m) subsets must find what scanning all divisors finds
+    # chaining the down-sets of supp(m) must find what scanning all
+    # divisors finds
     poset, m = inst
     assert spectra.associated_primes(poset, m) == \
         associated_primes_all_divisors(poset, m)

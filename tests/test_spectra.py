@@ -87,6 +87,19 @@ def test_all_divisor_scan_matches(q11, m49, q3, m23):
     assert associated_primes_all_divisors(q3, m23) == associated_primes(q3, m23)
 
 
+def test_overlapping_down_sets_match_the_divisor_scan():
+    # the overlap chaining against Hasse components of every divisor's
+    # order ideal, on verify's sampler
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(2000):
+        poset, m = verify._poset_monomial(rng, 8, 5)
+        got = associated_primes(poset, m)
+        assert got == associated_primes_all_divisors(poset, m)
+        seen.add(len(got))
+    assert len(seen) >= 6
+
+
 def test_max_associated_primes(q11, m49):
     assert max_associated_primes(q11, m49) == primes({1, 4}, {6, 7, 9})
     # every associated prime sits inside exactly one maximal one

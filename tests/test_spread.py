@@ -9,7 +9,6 @@ from qborel import (
     analytic_spread_rank,
     analytic_spread_sf,
     check_transitive_closure_theorem,
-    exponent_matrix,
     format_monomial,
     generate_principal,
     generate_sf_principal,
@@ -37,13 +36,6 @@ def test_integer_rank_needs_exact_arithmetic():
     M = np.array([[1 << (abs(i - j) * 8) for j in range(n)] for i in range(n)],
                  dtype=object)
     assert integer_rank(np.array(M, dtype=np.int64)) == n
-
-
-def test_exponent_matrix_shape(q3, m23):
-    I = generate_principal(q3, m23)
-    A = exponent_matrix(I)
-    assert A.shape == (3, 2)
-    assert sorted(map(tuple, A.T.tolist())) == [(0, 1, 1), (1, 1, 0)]
 
 
 def test_spread_rank(q11, m49, q3, m23):
