@@ -209,9 +209,13 @@ def _cmd_verify(args):
 
 
 def _positive_int(text):
-    if not text.isdecimal() or int(text) < 1:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return value
 
 
 @functools.cache

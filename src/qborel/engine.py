@@ -8,9 +8,9 @@ has no variable that both sends and receives, so each of its moves
 raises r, and so every orbit member but m has a parent one layer up.
 A membership certificate is such a plan and needs no orbit.
 
-Every row has degree deg m, so the layers are deduped and sorted on
-their columns alone, and descending lex order is canonical: the ideal
-takes the walk's rows with no second sort and no minimalization.
+Every row has degree deg m, so the layers are deduped on their columns
+alone, and the ideal sorts the walk's narrow rows once the same way,
+with no int64 re-sort and no minimalization.
 """
 
 from collections import deque
@@ -68,11 +68,10 @@ def _orbit_rows(poset, m, squarefree_only=False):
     # distance r + 1 has a parent at distance r, no row reappears in a
     # later layer, and one dedup per nonempty layer past m suffices: at
     # most deg m.  Rows all have degree deg m, so they sort on their
-    # columns alone, and canonical order is descending lex; the layers
-    # get one such sort together.  Rows, and m with them so that
-    # comparisons need no upcast, are held in the narrowest signed type
-    # that holds -1 - deg m, and so deg m; numpy sorts it by radix, and
-    # it shrinks the children of a layer
+    # columns alone.  Rows, and m with them so that comparisons need no
+    # upcast, are held in the narrowest signed type that holds
+    # -1 - deg m, and so deg m; numpy sorts it by radix, and it shrinks
+    # the children of a layer
     eye = np.eye(poset.n, dtype=np.min_scalar_type(-1 - int(m.sum())))
     dst, src = (poset._leq & (eye == 0) & (m > 0)).nonzero()
     step = eye[dst] - eye[src]
@@ -86,16 +85,8 @@ def _orbit_rows(poset, m, squarefree_only=False):
             take &= layer == 0
         r, c = (((layer > 0) & (layer <= m))[:, src] & take[:, dst]).nonzero()
         if not r.size:
-            break
-        layer = layer[r] + step[c]
-        layer = monomials.drop_repeats(layer[_lex_order(layer)])
-    rows = np.concatenate(layers)
-    return rows[_lex_order(rows)[::-1]].astype(np.int64)
-
-
-def _lex_order(rows):
-    # indices that put the rows in ascending lex order, first column first
-    return np.lexsort(rows.T[::-1])
+            return np.concatenate(layers)
+        layer = monomials.canonical_rows(layer[r] + step[c], one_degree=True)
 
 
 def _closure_monomial(poset, m):
@@ -110,7 +101,7 @@ def _closure_monomial(poset, m):
 def generate_principal(poset, m):
     """Smallest ideal containing m and closed under the exchange moves."""
     m = _closure_monomial(poset, m)
-    return MonomialIdeal._from_canonical(_orbit_rows(poset, m), poset.n)
+    return MonomialIdeal(_orbit_rows(poset, m), poset.n, _one_degree=True)
 
 
 def generate_from_set(poset, ms):
@@ -127,7 +118,7 @@ def generate_sf_principal(poset, m):
     if not monomials.is_squarefree(m):
         raise ValueError("square-free closure needs a square-free monomial")
     rows = _orbit_rows(poset, m, squarefree_only=True)
-    return MonomialIdeal._from_canonical(rows, poset.n)
+    return MonomialIdeal(rows, poset.n, _one_degree=True)
 
 
 def transversal_factorization(poset, m):

@@ -89,23 +89,30 @@ def restrict(m, members):
     return out
 
 
-def canonical_rows(rows):
-    """The distinct rows by ascending degree, then descending lex order.
+def canonical_order(rows, one_degree=False):
+    """Indices that sort rows by ascending degree, then descending lex.
 
-    That is the order a worked example is read in; one sort puts each
-    repeat right after the row it repeats.
+    That is the order a worked example is read in.  Rows all of one
+    degree, as an orbit's are, are sorted on their columns alone.
+    """
+    # sorted ascending on the negated keys and read backwards, so no
+    # negated copy of the rows is made; only equal rows tie
+    keys = rows[:, ::-1].T
+    if not one_degree:
+        keys = (*keys, -rows.sum(axis=1))
+    return np.lexsort(keys)[::-1]
+
+
+def canonical_rows(rows, one_degree=False):
+    """The distinct rows in canonical order.
+
+    One sort puts each repeat right after the row it repeats.
     """
     if rows.shape[0] <= 1:
         return rows
-    # sorted ascending on the negated keys and read backwards, so no
-    # negated copy of the rows is made; only equal rows tie
-    return drop_repeats(rows[np.lexsort((*rows[:, ::-1].T, -rows.sum(axis=1)))[::-1]])
-
-
-def drop_repeats(rows):
-    """Sorted rows without the repeats, each of which follows its row."""
+    rows = rows[canonical_order(rows, one_degree)]
     fresh = np.empty(rows.shape[0], np.bool_)
-    fresh[:1] = True
+    fresh[0] = True
     (rows[1:] != rows[:-1]).any(axis=1, out=fresh[1:])
     return rows[fresh]
 
@@ -122,22 +129,33 @@ class MonomialIdeal:
 
     The generator rows are minimalized and stored in canonical order on
     construction, so equal ideals compare equal.  The zero ideal has no
-    rows and the unit ideal the single row of the monomial 1.
+    rows and the unit ideal the single row of the monomial 1.  The
+    private _one_degree=True takes a nonempty array of distinct rows of
+    nonnegative integers, all of one degree, and does not minimalize.
     """
 
     __slots__ = ("gens", "nvars")
 
-    def __init__(self, gens, nvars):
+    def __init__(self, gens, nvars, *, _one_degree=False):
         nvars = int(nvars)
-        rows = np.asarray(gens, dtype=np.int64)
-        if rows.size == 0:
-            rows = rows.reshape(0, nvars)
-        if rows.ndim != 2 or rows.shape[1] != nvars:
-            raise ValueError(f"generators must be rows of length {nvars}")
-        if rows.size and int(rows.min()) < 0:
-            raise ValueError("exponents must be nonnegative")
-        _check_exponents(rows)
-        rows = _minimal_rows(rows)
+        if _one_degree:
+            # distinct rows of one degree, as an orbit's are: each is its
+            # own minimal generator, so they are only sorted, in the
+            # narrow type they may come in.  No exponent exceeds the
+            # degree, so only a degree of 2^31 or more is checked
+            rows = gens[canonical_order(gens, one_degree=True)].astype(np.int64)
+            if rows.size and int(rows[0].sum()) >= _EXPONENT_LIMIT:
+                _check_exponents(rows)
+        else:
+            rows = np.asarray(gens, dtype=np.int64)
+            if rows.size == 0:
+                rows = rows.reshape(0, nvars)
+            if rows.ndim != 2 or rows.shape[1] != nvars:
+                raise ValueError(f"generators must be rows of length {nvars}")
+            if rows.size and int(rows.min()) < 0:
+                raise ValueError("exponents must be nonnegative")
+            _check_exponents(rows)
+            rows = _minimal_rows(rows)
         rows.flags.writeable = False
         self.gens = rows
         self.nvars = nvars
@@ -150,21 +168,17 @@ class MonomialIdeal:
     def unit(cls, nvars):
         return cls(np.zeros((1, nvars), dtype=np.int64), nvars)
 
-    @classmethod
-    def _from_canonical(cls, rows, nvars):
-        """Wrap int64 rows already distinct, of one degree and canonical.
-
-        Such rows are their own minimal generators in canonical order,
-        so nothing is sorted or minimalized.  Their exponents are at
-        most their degree, so only a degree of 2^31 or more is checked.
-        """
-        if int(rows[0].sum()) >= _EXPONENT_LIMIT:
+    def _take_one_degree(self, rows, nvars):
+        # rows of one degree, as an orbit's are, each its own minimal
+        # generator: they are sorted in the (narrow) type they come in
+        # and not minimalized.  An exponent is at most the degree, so
+        # only a degree of 2^31 or more is checked
+        rows = canonical_rows(rows, one_degree=True).astype(np.int64)
+        if rows.size and int(rows[0].sum()) >= _EXPONENT_LIMIT:
             _check_exponents(rows)
         rows.flags.writeable = False
-        ideal = cls.__new__(cls)
-        ideal.gens = rows
-        ideal.nvars = nvars
-        return ideal
+        self.gens = rows
+        self.nvars = nvars
 
     @classmethod
     def from_strings(cls, texts, nvars):

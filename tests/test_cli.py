@@ -238,6 +238,16 @@ def test_verify_counts_must_be_positive(capsys, flag, value):
     assert f"argument {flag}: expected a positive integer, got '{value}'" in err
 
 
+@pytest.mark.parametrize("value", ["+2", " 2", "0_2"])
+def test_verify_counts_read_as_int_reads_them(capsys, value):
+    code, out, _ = run_cli(capsys, "verify", "--trials", value, "--max-n", value,
+                           "--max-deg", value, "--properties", "symbolic-powers")
+    assert code == cli.EXIT_OK
+    head, *rest = out.splitlines()
+    assert head.startswith("seed=0 trials=2 max-n=2 max-deg=2 backend=")
+    assert rest == ["symbolic-powers: 2/2"]
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
     # the JSON decoder recurses once per bracket
     deep = tmp_path / "deep.json"

@@ -120,40 +120,51 @@ def test_chain_closures():
     assert sf.generator_strings() == ["x1*x2", "x1*x3", "x2*x3"]
 
 
-def test_orbit_sorts_one_layer_per_unit_moved(count_calls):
+def _spy_sorts(monkeypatch):
+    # record the dtype and the one_degree flag of every canonical sort
+    seen = []
+    real = monomials.canonical_order
+
+    def spy(rows, one_degree=False):
+        seen.append((rows.dtype, one_degree))
+        return real(rows, one_degree)
+
+    monkeypatch.setattr(monomials, "canonical_order", spy)
+    return seen
+
+
+def test_orbit_sorts_one_layer_per_unit_moved(monkeypatch):
     # the walk dedups one layer per unit of transport distance from m,
-    # so at most deg m times, then sorts all layers once, and returns
-    # int64 rows however it holds them
-    calls, count = count_calls
-    count(engine.monomials, "drop_repeats")
-    count(engine, "_lex_order")
+    # so at most deg m times, on the columns alone, and hands back its
+    # distinct rows in the narrow type it holds them in
+    seen = _spy_sorts(monkeypatch)
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
     rows = engine._orbit_rows(chain, parse_monomial("x8^4", 8))
-    assert rows.shape == (330, 8) and rows.dtype == np.int64
-    assert calls == {"drop_repeats": 4, "_lex_order": 5}
+    assert rows.shape == (330, 8) and rows.dtype == np.int8
+    assert np.unique(rows, axis=0).shape == rows.shape
+    assert seen == [(np.int8, True)] * 4
 
 
-def test_closure_skips_the_constructor_sort(count_calls, monkeypatch):
-    # the walk's rows are distinct, of one degree and canonical already,
-    # so the ideal takes them as they are: equal to what the constructor
-    # would make of them, and read-only
-    calls, count = count_calls
-    count(monomials, "canonical_rows")
-
-    def init(self, *args):
-        raise AssertionError("the closure went through the constructor")
-
+def test_closure_is_sorted_once_and_not_minimalized(monkeypatch):
+    # the walk's rows are distinct and of one degree, so the ideal sorts
+    # them once more in their narrow type and keeps them all: equal to
+    # what the full constructor makes of them, int64 and read-only
+    seen = _spy_sorts(monkeypatch)
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
     m = parse_monomial("x8^4", 8)
     rows = engine._orbit_rows(chain, m)
+    seen.clear()
+
+    def minimal_rows(rows):
+        raise AssertionError("an orbit was minimalized")
+
     with monkeypatch.context() as patch:
-        patch.setattr(MonomialIdeal, "__init__", init)
+        patch.setattr(monomials, "_minimal_rows", minimal_rows)
         I = generate_principal(chain, m)
+        assert seen == [(np.int8, True)] * 5
         sf = generate_sf_principal(chain, parse_monomial("x2*x5*x8", 8))
-    assert not calls
-    assert np.array_equal(I.gens, MonomialIdeal(rows, 8).gens)
+    assert I == MonomialIdeal(rows, 8) == MonomialIdeal(rows[::-1], 8)
     assert I.gens.dtype == np.int64 and not I.gens.flags.writeable
-    assert I == MonomialIdeal(rows[::-1], 8)
     assert sf.generator_strings()[0] == "x1*x2*x3" and len(sf) == 30
 
 
