@@ -208,14 +208,21 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(low, what):
+    """An argparse type reading an int() of at least low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_from(1, "a positive integer")
+_nonnegative_int = _int_from(0, "a non-negative integer")
 
 
 @functools.cache
@@ -262,7 +269,7 @@ def _build_parser():
     p.add_argument("-d", type=int, default=3, help="largest power checked")
 
     p = sub.add_parser("verify", help="randomized identity checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--max-n", type=_positive_int, default=6)
     p.add_argument("--max-deg", type=_positive_int, default=3)

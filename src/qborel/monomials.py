@@ -19,9 +19,13 @@ _EXPONENT_LIMIT = 1 << 31
 _TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-def _check_exponents(arr):
-    if arr.size and int(arr.max()) >= _EXPONENT_LIMIT:
-        raise OverflowError("exponent exceeds the supported range")
+def _check_range(arr):
+    """Refuse a negative exponent, then one past the supported range."""
+    if arr.size:
+        if arr.min() < 0:
+            raise ValueError("exponents must be nonnegative")
+        if arr.max() >= _EXPONENT_LIMIT:
+            raise OverflowError("exponent exceeds the supported range")
 
 
 def monomial(exponents):
@@ -29,9 +33,7 @@ def monomial(exponents):
     m = np.array(exponents, dtype=np.int64)
     if m.ndim != 1:
         raise ValueError("a monomial is a flat exponent vector")
-    if m.size and int(m.min()) < 0:
-        raise ValueError("exponents must be nonnegative")
-    _check_exponents(m)
+    _check_range(m)
     return m
 
 
@@ -52,7 +54,7 @@ def parse_monomial(text, nvars):
         if not 1 <= idx <= nvars:
             raise ParseError(f"variable x{idx} out of range 1..{nvars}")
         exps[idx - 1] += exp
-    _check_exponents(exps)
+    _check_range(exps)
     return exps.astype(np.int64)
 
 
@@ -89,18 +91,27 @@ def restrict(m, members):
     return out
 
 
-def canonical_order(rows, one_degree=False):
+def canonical_order(rows, degs=None):
     """Indices that sort rows by ascending degree, then descending lex.
 
-    That is the order a worked example is read in.  Rows all of one
-    degree, as an orbit's are, are sorted on their columns alone.
+    That is the order a worked example is read in.  degs holds the
+    degrees of the rows; without it the rows are taken to be of one
+    degree, as an orbit's are, and are sorted on their columns alone.
     """
     # sorted ascending on the negated keys and read backwards, so no
     # negated copy of the rows is made; only equal rows tie
     keys = rows[:, ::-1].T
-    if not one_degree:
-        keys = (*keys, -rows.sum(axis=1))
+    if degs is not None:
+        keys = (*keys, -degs)
     return np.lexsort(keys)[::-1]
+
+
+def _firsts(rows):
+    """Mask of the rows that differ from the row before them."""
+    fresh = np.empty(rows.shape[0], np.bool_)
+    fresh[0] = True
+    (rows[1:] != rows[:-1]).any(axis=1, out=fresh[1:])
+    return fresh
 
 
 def canonical_rows(rows, one_degree=False):
@@ -110,18 +121,26 @@ def canonical_rows(rows, one_degree=False):
     """
     if rows.shape[0] <= 1:
         return rows
-    rows = rows[canonical_order(rows, one_degree)]
-    fresh = np.empty(rows.shape[0], np.bool_)
-    fresh[0] = True
-    (rows[1:] != rows[:-1]).any(axis=1, out=fresh[1:])
-    return rows[fresh]
+    rows = rows[canonical_order(rows, None if one_degree else rows.sum(axis=1))]
+    return rows[_firsts(rows)]
 
 
 def _minimal_rows(rows):
-    if rows.shape[0] == 0:
+    """The minimal rows, distinct and in canonical order.
+
+    Of one degree, distinct rows never divide each other, so they are
+    only sorted on their columns and deduplicated.
+    """
+    if rows.shape[0] <= 1:
         return rows
-    rows = canonical_rows(rows)
-    return rows[_kernels.minimalize_keep(rows, rows.sum(axis=1))]
+    degs = rows.sum(axis=1)
+    if degs.min() == degs.max():
+        return canonical_rows(rows, one_degree=True)
+    order = canonical_order(rows, degs)
+    rows, degs = rows[order], degs[order]
+    fresh = _firsts(rows)
+    rows, degs = rows[fresh], degs[fresh]
+    return rows[_kernels.minimalize_keep(rows, degs)]
 
 
 class MonomialIdeal:
@@ -143,18 +162,16 @@ class MonomialIdeal:
             # own minimal generator, so they are only sorted, in the
             # narrow type they may come in.  No exponent exceeds the
             # degree, so only a degree of 2^31 or more is checked
-            rows = gens[canonical_order(gens, one_degree=True)].astype(np.int64)
+            rows = gens[canonical_order(gens)].astype(np.int64)
             if rows.size and int(rows[0].sum()) >= _EXPONENT_LIMIT:
-                _check_exponents(rows)
+                _check_range(rows)
         else:
             rows = np.asarray(gens, dtype=np.int64)
             if rows.size == 0:
                 rows = rows.reshape(0, nvars)
             if rows.ndim != 2 or rows.shape[1] != nvars:
                 raise ValueError(f"generators must be rows of length {nvars}")
-            if rows.size and int(rows.min()) < 0:
-                raise ValueError("exponents must be nonnegative")
-            _check_exponents(rows)
+            _check_range(rows)
             rows = _minimal_rows(rows)
         rows.flags.writeable = False
         self.gens = rows
@@ -167,18 +184,6 @@ class MonomialIdeal:
     @classmethod
     def unit(cls, nvars):
         return cls(np.zeros((1, nvars), dtype=np.int64), nvars)
-
-    def _take_one_degree(self, rows, nvars):
-        # rows of one degree, as an orbit's are, each its own minimal
-        # generator: they are sorted in the (narrow) type they come in
-        # and not minimalized.  An exponent is at most the degree, so
-        # only a degree of 2^31 or more is checked
-        rows = canonical_rows(rows, one_degree=True).astype(np.int64)
-        if rows.size and int(rows[0].sum()) >= _EXPONENT_LIMIT:
-            _check_exponents(rows)
-        rows.flags.writeable = False
-        self.gens = rows
-        self.nvars = nvars
 
     @classmethod
     def from_strings(cls, texts, nvars):

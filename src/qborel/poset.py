@@ -13,36 +13,59 @@ class Poset:
 
     The constructor accepts any acyclic set of strict relations (j, i),
     read as x_j < x_i, closes them transitively and keeps only the cover
-    relations, so equivalent inputs produce identical posets.
+    relations, so equivalent inputs produce identical posets.  The
+    down-set of x_i, itself included, is held as the int bitmask
+    _down[i - 1] with bit j - 1 set for each x_j <= x_i, and as column
+    i - 1 of the boolean matrix _leq.
     """
 
-    __slots__ = ("n", "covers", "_leq")
+    __slots__ = ("n", "covers", "_down", "_leq")
 
     def __init__(self, n, relations=()):
         n = int(n)
         if n < 0:
             raise ValueError("ground set size must be nonnegative")
-        rel = np.zeros((n, n), dtype=bool)
-        for pair in relations:
-            j, i = pair
+        below = [0] * n  # bitmasks of the given lower neighbours
+        above = [[] for _ in range(n)]
+        wait = [0] * n
+        for j, i in relations:
             j, i = int(j), int(i)
-            if not (1 <= j <= n and 1 <= i <= n):
+            if not (0 < j <= n and 0 < i <= n):
                 raise ValueError(f"relation ({j}, {i}) out of range 1..{n}")
             if j == i:
                 raise ValueError(f"relation ({j}, {i}) is reflexive")
-            rel[j - 1, i - 1] = True
-        for k in range(n):
-            np.logical_or(rel, rel[:, k:k + 1] & rel[k:k + 1, :], out=rel)
-        if rel.diagonal().any():
+            below[i - 1] |= 1 << (j - 1)
+            above[j - 1].append(i - 1)
+            wait[i - 1] += 1
+        # close in topological order: x_j's down-set is complete once
+        # every relation into x_j has been passed along.  passed[i]
+        # gathers what lies strictly below a lower neighbour of x_i, so
+        # the given relations outside it are the covers
+        down = [1 << i for i in range(n)]
+        passed = [0] * n
+        done = [i for i in range(n) if not wait[i]]
+        for j in done:
+            dj = down[j]
+            for i in above[j]:
+                down[i] |= dj
+                passed[i] |= dj ^ (1 << j)
+                wait[i] -= 1
+                if not wait[i]:
+                    done.append(i)
+        if len(done) < n:
             raise ValueError("relations contain a cycle")
-        cov = rel & ~(rel @ rel)
         self.n = n
         self.covers = frozenset(
-            (int(j) + 1, int(i) + 1) for j, i in zip(*np.nonzero(cov))
-        )
-        leq = rel
-        np.fill_diagonal(leq, True)
-        self._leq = leq
+            (j + 1, i + 1)
+            for i in range(n) for j in _bits(below[i] & ~passed[i]))
+        self._down = tuple(down)
+        # row i of the little-endian bits of down[i] is column i of _leq
+        width = (n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(d.to_bytes(width, "little") for d in down),
+            dtype=np.uint8).reshape(n, width)
+        leq = np.unpackbits(packed, axis=1, count=n, bitorder="little").T
+        self._leq = np.ascontiguousarray(leq, dtype=bool)
         self._leq.flags.writeable = False
 
     def __eq__(self, other):
@@ -115,6 +138,14 @@ class Poset:
             if a != b and self._leq[a - 1, b - 1]
         ]
         return InducedPoset(Poset(len(labels), rels), labels)
+
+
+def _bits(mask):
+    """Positions of the set bits of an int, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,30 @@ def order_ideal(poset, m):
     return poset.down_closure(monomials.support(m))
 
 
+def _members(mask):
+    """The variable indices, 1-based, of the set bits of a bitmask."""
+    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _components(poset, m):
+    """Bitmasks of the components of the order ideal of a monomial m != 1.
+
+    They are merged from the down-sets of supp(m) by overlap (see
+    associated_primes) and listed by smallest member.
+    """
+    comps = []
+    for i in np.flatnonzero(m).tolist():
+        union = poset._down[i]
+        apart = []
+        for c in comps:
+            if c & union:
+                union |= c
+            else:
+                apart.append(c)
+        comps = [*apart, union]
+    return sorted(comps, key=lambda c: c & -c)
+
+
 def maximal_components(poset, m):
     """Restrictions of m to the components of its order ideal.
 
@@ -31,8 +55,7 @@ def maximal_components(poset, m):
     engine._check_ambient(poset, m)
     if monomials.degree(m) == 0:
         raise ValueError("the monomial 1 has no component decomposition")
-    comps = poset.connected_components(order_ideal(poset, m))
-    parts = [monomials.restrict(m, c) for c in comps]
+    parts = [monomials.restrict(m, _members(c)) for c in _components(poset, m)]
     parts.sort(key=lambda part: min(monomials.support(part)))
     return parts
 
@@ -59,8 +82,7 @@ def associated_primes(poset, m):
     engine._check_ambient(poset, m)
     if monomials.degree(m) == 0:
         raise ValueError("the monomial 1 has no associated primes")
-    down = [sum(1 << j for j in np.flatnonzero(poset._leq[:, i]).tolist())
-            for i in np.flatnonzero(m).tolist()]
+    down = [poset._down[i] for i in np.flatnonzero(m).tolist()]
     found = set(down)
     todo = list(found)
     while todo:
@@ -69,9 +91,7 @@ def associated_primes(poset, m):
             if union & d and union | d not in found:
                 found.add(union | d)
                 todo.append(union | d)
-    return frozenset(
-        frozenset(j + 1 for j in range(union.bit_length()) if union >> j & 1)
-        for union in found)
+    return frozenset(_members(union) for union in found)
 
 
 def max_associated_primes(poset, m):
@@ -84,7 +104,7 @@ def max_associated_primes(poset, m):
     engine._check_ambient(poset, m)
     if monomials.degree(m) == 0:
         raise ValueError("the monomial 1 has no associated primes")
-    return frozenset(poset.connected_components(order_ideal(poset, m)))
+    return frozenset(_members(c) for c in _components(poset, m))
 
 
 def component_decomposition(poset, m):

@@ -238,6 +238,26 @@ def test_verify_counts_must_be_positive(capsys, flag, value):
     assert f"argument {flag}: expected a positive integer, got '{value}'" in err
 
 
+@pytest.mark.parametrize("value", ["-1", "-3", "x"])
+def test_verify_seed_must_be_non_negative(capsys, value):
+    # numpy refuses a negative seed; the parser names the flag instead
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--seed", value])
+    err = capsys.readouterr().err
+    assert exc.value.code == cli.EXIT_PARSE
+    assert f"argument --seed: expected a non-negative integer, got '{value}'" in err
+
+
+def test_verify_takes_a_large_seed(capsys):
+    seed = str(2 ** 70)
+    code, out, _ = run_cli(capsys, "verify", "--seed", seed, "--trials", "2",
+                           "--properties", "symbolic-powers")
+    assert code == cli.EXIT_OK
+    head, *rest = out.splitlines()
+    assert head.startswith(f"seed={seed} trials=2 max-n=6 max-deg=3 backend=")
+    assert rest == ["symbolic-powers: 2/2"]
+
+
 @pytest.mark.parametrize("value", ["+2", " 2", "0_2"])
 def test_verify_counts_read_as_int_reads_them(capsys, value):
     code, out, _ = run_cli(capsys, "verify", "--trials", value, "--max-n", value,

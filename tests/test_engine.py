@@ -121,13 +121,14 @@ def test_chain_closures():
 
 
 def _spy_sorts(monkeypatch):
-    # record the dtype and the one_degree flag of every canonical sort
+    # record the dtype of every canonical sort and whether it sorts on
+    # the columns alone, as for rows of one degree
     seen = []
     real = monomials.canonical_order
 
-    def spy(rows, one_degree=False):
-        seen.append((rows.dtype, one_degree))
-        return real(rows, one_degree)
+    def spy(rows, degs=None):
+        seen.append((rows.dtype, degs is None))
+        return real(rows, degs)
 
     monkeypatch.setattr(monomials, "canonical_order", spy)
     return seen

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qborel import Graph, ParseError, Poset, parse_poset, transitive_closure
@@ -48,6 +49,78 @@ def test_cycle_rejected():
         Poset(2, [(1, 1)])
     with pytest.raises(ValueError, match="out of range"):
         Poset(2, [(1, 3)])
+
+
+def _order_by_pairs(n, rels):
+    # the plain reference: close a set of pairs until nothing is added,
+    # then keep the pairs nothing lies strictly between
+    lt = set(rels)
+    while True:
+        more = {(a, d) for a, b in lt for c, d in lt if b == c} - lt
+        if not more:
+            break
+        lt |= more
+    covers = {(a, b) for a, b in lt
+              if not any((a, c) in lt and (c, b) in lt for c in range(1, n + 1))}
+    leq = np.eye(n, dtype=bool)
+    for a, b in lt:
+        leq[a - 1, b - 1] = True
+    down = tuple(sum(1 << a for a in np.flatnonzero(leq[:, i]).tolist())
+                 for i in range(n))
+    return covers, leq, down
+
+
+def _random_dag(rng, n, p):
+    # relations along a random linear extension, with some repeated and
+    # all in random input order
+    perm = rng.permutation(n) + 1
+    rels = [(int(perm[j]), int(perm[i])) for j in range(n)
+            for i in range(j + 1, n) if rng.random() < p]
+    rels += [rels[k] for k in rng.integers(0, len(rels), len(rels) // 4)] if rels else []
+    return [rels[k] for k in rng.permutation(len(rels))]
+
+
+def _check_order(n, rels):
+    p = Poset(n, rels)
+    covers, leq, down = _order_by_pairs(n, rels)
+    assert p.covers == covers
+    assert p._leq.dtype == bool and p._leq.shape == (n, n)
+    assert np.array_equal(p._leq, leq)
+    assert p._down == down
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_bitmask_order_at_packing_edges(n):
+    # byte and word edges of the bitmask packing: a shuffled chain, whose
+    # top element has every bit below it set, and a sparse random order
+    rng = np.random.default_rng(n)
+    chain = [(i, i + 1) for i in range(1, n)]
+    _check_order(n, [chain[k] for k in rng.permutation(len(chain))])
+    _check_order(n, _random_dag(rng, n, 0.08))
+
+
+def test_bitmask_order_matches_pair_closure():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        _check_order(n, _random_dag(rng, n, float(rng.choice([0.15, 0.3, 0.6]))))
+
+
+@pytest.mark.parametrize("rels, message", [
+    ([(1, 2), (2, 2), (1, 5)], "relation (2, 2) is reflexive"),
+    ([(1, 2), (1, 5), (2, 2)], "relation (1, 5) out of range 1..3"),
+    ([(0, 1), (3, 3)], "relation (0, 1) out of range 1..3"),
+    ([(1, 2), (2, 3), (3, 1), (3, 4)], "relation (3, 4) out of range 1..3"),
+    ([(1, 2), (2, 3), (3, 1), (2, 2)], "relation (2, 2) is reflexive"),
+    ([(1, 2), (2, 1)], "relations contain a cycle"),
+    ([(1, 2), (2, 3), (3, 2)], "relations contain a cycle"),
+])
+def test_bad_relations_name_the_first_in_input_order(rels, message):
+    # every relation is checked in input order before the order is
+    # closed, so a cycle is reported only when no relation is bad
+    with pytest.raises(ValueError) as exc:
+        Poset(3, rels)
+    assert str(exc.value) == message
 
 
 def test_down_closure(q11):

@@ -100,6 +100,21 @@ def test_overlapping_down_sets_match_the_divisor_scan():
     assert len(seen) >= 6
 
 
+def test_merged_down_sets_match_the_hasse_components():
+    # maximal primes and component restrictions, merged from overlapping
+    # down-sets, against the Hasse components of the order ideal
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        poset, m = verify._poset_monomial(rng, 8, 5)
+        comps = poset.connected_components(order_ideal(poset, m))
+        assert max_associated_primes(poset, m) == frozenset(comps)
+        want = [monomials.restrict(m, c) for c in comps]
+        want.sort(key=lambda part: min(monomials.support(part)))
+        got = maximal_components(poset, m)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_max_associated_primes(q11, m49):
     assert max_associated_primes(q11, m49) == primes({1, 4}, {6, 7, 9})
     # every associated prime sits inside exactly one maximal one
