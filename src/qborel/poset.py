@@ -37,18 +37,16 @@ class Poset:
             below[i - 1] |= 1 << (j - 1)
             above[j - 1].append(i - 1)
             wait[i - 1] += 1
-        # close in topological order: x_j's down-set is complete once
-        # every relation into x_j has been passed along.  passed[i]
-        # gathers what lies strictly below a lower neighbour of x_i, so
-        # the given relations outside it are the covers
-        down = [1 << i for i in range(n)]
-        passed = [0] * n
+        # close in topological order.  Once every relation into x_j has
+        # been passed along, beneath[j] holds what lies strictly below
+        # x_j's given lower neighbours, so the given relations outside
+        # it are the covers
+        beneath = [0] * n
         done = [i for i in range(n) if not wait[i]]
         for j in done:
-            dj = down[j]
+            strict = below[j] | beneath[j]
             for i in above[j]:
-                down[i] |= dj
-                passed[i] |= dj ^ (1 << j)
+                beneath[i] |= strict
                 wait[i] -= 1
                 if not wait[i]:
                     done.append(i)
@@ -57,7 +55,8 @@ class Poset:
         self.n = n
         self.covers = frozenset(
             (j + 1, i + 1)
-            for i in range(n) for j in _bits(below[i] & ~passed[i]))
+            for i in range(n) for j in _bits(below[i] & ~beneath[i]))
+        down = [below[i] | beneath[i] | 1 << i for i in range(n)]
         self._down = tuple(down)
         # row i of the little-endian bits of down[i] is column i of _leq
         width = (n + 7) // 8

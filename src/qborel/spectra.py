@@ -30,7 +30,8 @@ def _components(poset, m):
     """Bitmasks of the components of the order ideal of a monomial m != 1.
 
     They are merged from the down-sets of supp(m) by overlap (see
-    associated_primes) and listed by smallest member.
+    associated_primes) and listed by smallest member, as
+    Poset.connected_components lists them.
     """
     comps = []
     for i in np.flatnonzero(m).tolist():
