@@ -40,7 +40,7 @@ from .oracle import (
     intersect_contractions,
     symbolic_power_bruteforce,
 )
-from .poset import Graph, InducedPoset, Poset, load_poset, parse_poset, transitive_closure
+from .poset import Graph, InducedPoset, Poset, load_poset, parse_poset
 from .spectra import (
     ContainmentInvariants,
     associated_primes,

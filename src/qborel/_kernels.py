@@ -19,9 +19,6 @@ def minimalize_keep(rows, degs):
     """
     k = rows.shape[0]
     keep = np.ones(k, np.bool_)
-    # one degree: no row has a strictly smaller one
-    if k == 0 or degs[0] == degs[-1]:
-        return keep
     starts = np.flatnonzero(np.diff(degs)) + 1
     bounds = [*starts.tolist(), k]
     for a, b in zip(bounds, bounds[1:]):

@@ -71,11 +71,15 @@ def _orbit_rows(poset, m, squarefree_only=False):
     # columns alone.  Rows, and m with them so that comparisons need no
     # upcast, are held in the narrowest signed type that holds
     # -1 - deg m, and so deg m; numpy sorts it by radix, and it shrinks
-    # the children of a layer
-    eye = np.eye(poset.n, dtype=np.min_scalar_type(-1 - int(m.sum())))
-    dst, src = (poset._leq & (eye == 0) & (m > 0)).nonzero()
-    step = eye[dst] - eye[src]
-    m = m.astype(eye.dtype)
+    # the children of a layer.  Move k, step row +1 at dst[k] and -1 at
+    # src[k], sends a unit down from x_src dividing m to x_dst below it
+    moves = np.array([(j - 1, i - 1) for i in monomials.support(m)
+                      for j in poset.down_closure({i}) if j != i],
+                     dtype=np.intp).reshape(-1, 2)
+    dst, src = moves.T
+    m = m.astype(np.min_scalar_type(-1 - int(m.sum())))
+    step = np.zeros((len(moves), poset.n), dtype=m.dtype)
+    step[np.arange(len(moves))[:, None], moves] = 1, -1
     layer = m[None, :]
     layers = []
     while True:

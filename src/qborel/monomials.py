@@ -73,7 +73,7 @@ def degree(m):
 
 def support(m):
     """Indices of the variables dividing m, 1-indexed."""
-    return frozenset(int(i) + 1 for i in np.flatnonzero(np.asarray(m)))
+    return frozenset(i + 1 for i in np.flatnonzero(m).tolist())
 
 
 def is_squarefree(m):

@@ -3,8 +3,6 @@
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ParseError
 
 
@@ -15,11 +13,11 @@ class Poset:
     read as x_j < x_i, closes them transitively and keeps only the cover
     relations, so equivalent inputs produce identical posets.  The
     down-set of x_i, itself included, is held as the int bitmask
-    _down[i - 1] with bit j - 1 set for each x_j <= x_i, and as column
-    i - 1 of the boolean matrix _leq.
+    _down[i - 1] with bit j - 1 set for each x_j <= x_i; every query
+    reads the order from these bitmasks, and only this module knows them.
     """
 
-    __slots__ = ("n", "covers", "_down", "_leq")
+    __slots__ = ("n", "covers", "_down")
 
     def __init__(self, n, relations=()):
         n = int(n)
@@ -54,18 +52,9 @@ class Poset:
             raise ValueError("relations contain a cycle")
         self.n = n
         self.covers = frozenset(
-            (j + 1, i + 1)
-            for i in range(n) for j in _bits(below[i] & ~beneath[i]))
-        down = [below[i] | beneath[i] | 1 << i for i in range(n)]
-        self._down = tuple(down)
-        # row i of the little-endian bits of down[i] is column i of _leq
-        width = (n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(d.to_bytes(width, "little") for d in down),
-            dtype=np.uint8).reshape(n, width)
-        leq = np.unpackbits(packed, axis=1, count=n, bitorder="little").T
-        self._leq = np.ascontiguousarray(leq, dtype=bool)
-        self._leq.flags.writeable = False
+            (j, i + 1)
+            for i in range(n) for j in _members(below[i] & ~beneath[i]))
+        self._down = tuple(below[i] | beneath[i] | 1 << i for i in range(n))
 
     def __eq__(self, other):
         return (isinstance(other, Poset)
@@ -86,65 +75,123 @@ class Poset:
         """True iff x_j <= x_i in the order."""
         self._check_index(j)
         self._check_index(i)
-        return bool(self._leq[j - 1, i - 1])
+        return bool(self._down[i - 1] >> (j - 1) & 1)
 
     def lt(self, j, i):
         return j != i and self.leq(j, i)
 
-    def down_closure(self, members):
-        """All indices below some member, members included."""
-        members = frozenset(members)
+    def _union(self, members):
+        """Bitmask of the down closure of an iterable of indices."""
+        mask = 0
         for i in members:
             self._check_index(i)
-        if not members:
-            return frozenset()
-        cols = [i - 1 for i in members]
-        mask = self._leq[:, cols].any(axis=1)
-        return frozenset(int(j) + 1 for j in np.flatnonzero(mask))
+            mask |= self._down[i - 1]
+        return mask
+
+    def down_closure(self, members):
+        """All indices below some member, members included."""
+        return _members(self._union(frozenset(members)))
 
     def is_order_ideal(self, members):
         return self.down_closure(members) == frozenset(members)
 
     def minimal_elements(self):
-        strict = self._leq & ~np.eye(self.n, dtype=bool)
-        return frozenset(int(i) + 1 for i in np.flatnonzero(~strict.any(axis=0)))
-
-    def hasse_graph(self, members=None):
-        """Undirected Hasse diagram, optionally restricted to a vertex set."""
-        verts = frozenset(range(1, self.n + 1)) if members is None else frozenset(members)
-        for i in verts:
-            self._check_index(i)
-        edges = frozenset(
-            frozenset(e) for e in self.covers if e[0] in verts and e[1] in verts
-        )
-        return Graph(verts, edges)
+        return frozenset(i + 1 for i, d in enumerate(self._down) if d == 1 << i)
 
     def connected_components(self, members):
-        """Components of the Hasse diagram induced on an order ideal."""
-        if not self.is_order_ideal(members):
+        """Components of the Hasse diagram induced on an order ideal.
+
+        They are merged by overlap from the down-sets of its members (see
+        connected_ideals), listed by smallest member.  A down-set finds
+        the unions it meets through the union that took each element.
+        """
+        members = frozenset(members)
+        # the union holds every member, so it is no larger iff it is equal
+        if self._union(members).bit_count() != len(members):
             raise ValueError("component decomposition needs an order ideal")
-        return self.hasse_graph(members).components()
+        unions, into, owner, seen = [], [], {}, 0
+        for i in members:
+            if seen >> (i - 1) & 1:
+                continue
+            k = len(unions)
+            into.append(k)
+            union = self._down[i - 1]
+            meets = union & seen
+            while meets:
+                c = _find(into, owner[meets & -meets])
+                meets &= ~unions[c]
+                union |= unions[c]
+                into[c] = k
+            fresh = union & ~seen
+            while fresh:
+                low = fresh & -fresh
+                owner[low] = k
+                fresh ^= low
+            unions.append(union)
+            seen |= union
+        comps = [u for c, u in enumerate(unions) if into[c] == c]
+        return [_members(c) for c in sorted(comps, key=lambda c: c & -c)]
+
+    def connected_ideals(self, members):
+        """The connected order ideals generated by nonempty subsets of members.
+
+        The order ideal of a subset S is the union of the down-sets
+        down(i), i in S, and it is connected iff those down-sets chain by
+        overlaps:
+        - down(i) is connected, since saturated chains join each of its
+          members to i inside it, so overlapping down-sets have a
+          connected union;
+        - a Hasse edge, a cover a < b, with a in down(i) and b in down(j)
+          puts a in down(j), so unions of down-sets that do not overlap
+          share no Hasse edge.
+        So the ideals are the unions reached from single down-sets by
+        adding one that meets the union so far.
+        """
+        members = frozenset(members)
+        for i in members:
+            self._check_index(i)
+        down = [self._down[i - 1] for i in members]
+        found = set(down)
+        todo = list(found)
+        while todo:
+            union = todo.pop()
+            for d in down:
+                if union & d and union | d not in found:
+                    found.add(union | d)
+                    todo.append(union | d)
+        return frozenset(_members(union) for union in found)
 
     def induced(self, members):
         """Restriction of the order to a subset, relabeled to 1..k."""
         labels = tuple(sorted(set(members)))
         for i in labels:
             self._check_index(i)
+        inside = sum(1 << (i - 1) for i in labels)
         pos = {v: k + 1 for k, v in enumerate(labels)}
         rels = [
             (pos[a], pos[b])
-            for a in labels for b in labels
-            if a != b and self._leq[a - 1, b - 1]
+            for b in labels for a in _members(self._down[b - 1] & inside)
+            if a != b
         ]
         return InducedPoset(Poset(len(labels), rels), labels)
 
 
-def _bits(mask):
-    """Positions of the set bits of an int, in ascending order."""
+def _find(into, c):
+    """Root of c in the merge forest into, halving the path to it."""
+    while into[c] != c:
+        into[c] = into[into[c]]
+        c = into[c]
+    return c
+
+
+def _members(mask):
+    """The 1-based indices of the set bits of a bitmask."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length())
         mask ^= low
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -196,24 +243,6 @@ class Graph:
                         stack.append(w)
             comps.append(frozenset(comp))
         return comps
-
-    def isolated_vertices(self):
-        touched = frozenset().union(*self.edges) if self.edges else frozenset()
-        return self.vertices - touched
-
-    def without_isolated(self):
-        return Graph(self.vertices - self.isolated_vertices(), self.edges)
-
-
-def transitive_closure(graph):
-    """Complete every connected component to a clique; vertices are kept."""
-    edges = set()
-    for comp in graph.components():
-        comp = sorted(comp)
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                edges.add(frozenset((comp[a], comp[b])))
-    return Graph(graph.vertices, frozenset(edges))
 
 
 def _relation_token(tok, lineno):

@@ -8,8 +8,6 @@ component by component of its Hasse diagram.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import engine, monomials, oracle
 from .errors import TheoremViolation
 
@@ -19,31 +17,6 @@ def order_ideal(poset, m):
     m = monomials.monomial(m)
     engine._check_ambient(poset, m)
     return poset.down_closure(monomials.support(m))
-
-
-def _members(mask):
-    """The variable indices, 1-based, of the set bits of a bitmask."""
-    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-def _components(poset, m):
-    """Bitmasks of the components of the order ideal of a monomial m != 1.
-
-    They are merged from the down-sets of supp(m) by overlap (see
-    associated_primes) and listed by smallest member, as
-    Poset.connected_components lists them.
-    """
-    comps = []
-    for i in np.flatnonzero(m).tolist():
-        union = poset._down[i]
-        apart = []
-        for c in comps:
-            if c & union:
-                union |= c
-            else:
-                apart.append(c)
-        comps = [*apart, union]
-    return sorted(comps, key=lambda c: c & -c)
 
 
 def maximal_components(poset, m):
@@ -56,7 +29,8 @@ def maximal_components(poset, m):
     engine._check_ambient(poset, m)
     if monomials.degree(m) == 0:
         raise ValueError("the monomial 1 has no component decomposition")
-    parts = [monomials.restrict(m, _members(c)) for c in _components(poset, m)]
+    ideal = poset.down_closure(monomials.support(m))
+    parts = [monomials.restrict(m, c) for c in poset.connected_components(ideal)]
     parts.sort(key=lambda part: min(monomials.support(part)))
     return parts
 
@@ -66,33 +40,14 @@ def associated_primes(poset, m):
 
     A variable prime is associated iff it is generated by the connected
     order ideal of a divisor of m; since the order ideal of a divisor
-    only depends on its support, subsets of supp(m) cover all cases.
-
-    The order ideal of a subset S is the union of the down-sets down(i),
-    i in S, and it is connected iff those down-sets chain by overlaps:
-    - down(i) is connected, since saturated chains join each of its
-      members to i inside it, so overlapping down-sets have a connected
-      union;
-    - a Hasse edge, a cover a < b, with a in down(i) and b in down(j)
-      puts a in down(j), so unions of down-sets that do not overlap
-      share no Hasse edge.
-    So the primes are the unions reached from single down-sets by adding
-    one that meets the union so far, each held as an int bitmask.
+    only depends on its support, subsets of supp(m) cover all cases
+    (see Poset.connected_ideals).
     """
     m = monomials.monomial(m)
     engine._check_ambient(poset, m)
     if monomials.degree(m) == 0:
         raise ValueError("the monomial 1 has no associated primes")
-    down = [poset._down[i] for i in np.flatnonzero(m).tolist()]
-    found = set(down)
-    todo = list(found)
-    while todo:
-        union = todo.pop()
-        for d in down:
-            if union & d and union | d not in found:
-                found.add(union | d)
-                todo.append(union | d)
-    return frozenset(_members(union) for union in found)
+    return poset.connected_ideals(monomials.support(m))
 
 
 def max_associated_primes(poset, m):
@@ -105,7 +60,8 @@ def max_associated_primes(poset, m):
     engine._check_ambient(poset, m)
     if monomials.degree(m) == 0:
         raise ValueError("the monomial 1 has no associated primes")
-    return frozenset(_members(c) for c in _components(poset, m))
+    ideal = poset.down_closure(monomials.support(m))
+    return frozenset(poset.connected_components(ideal))
 
 
 def component_decomposition(poset, m):

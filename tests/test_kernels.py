@@ -167,12 +167,16 @@ def sorted_unique(rows):
     return np.ascontiguousarray(rows[order])
 
 
-@pytest.mark.parametrize("k,n", [(1, 1), (8, 3), (60, 5), (200, 7)])
+@pytest.mark.parametrize("k,n", [(1, 1), (8, 3), (60, 5), (200, 7), (0, 3)])
 def test_minimalize_keep_backends_agree(k, n):
     rows = sorted_unique(random_rows(k, n))
     degs = rows.sum(1)
     ref = _minimalize_keep_loops(rows, degs)
     assert np.array_equal(_kernels.minimalize_keep(rows, degs), ref)
+    # the rows of the top degree alone: one degree, nothing is dropped
+    top = degs == degs.max(initial=0)
+    keep = _kernels.minimalize_keep(rows[top], degs[top])
+    assert keep.all() and np.array_equal(keep, _minimalize_keep_loops(rows[top], degs[top]))
 
 
 def test_minimalize_keep_semantics():

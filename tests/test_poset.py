@@ -1,7 +1,11 @@
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qborel import Graph, ParseError, Poset, parse_poset, transitive_closure
+import qborel
+from qborel import Graph, ParseError, Poset, generate_principal, parse_poset
 from qborel.poset import poset_from_json, poset_from_text
 
 
@@ -62,12 +66,24 @@ def _order_by_pairs(n, rels):
         lt |= more
     covers = {(a, b) for a, b in lt
               if not any((a, c) in lt and (c, b) in lt for c in range(1, n + 1))}
-    leq = np.eye(n, dtype=bool)
-    for a, b in lt:
-        leq[a - 1, b - 1] = True
-    down = tuple(sum(1 << a for a in np.flatnonzero(leq[:, i]).tolist())
-                 for i in range(n))
-    return covers, leq, down
+    return lt, covers
+
+
+def _components_by_search(covers, members):
+    # depth-first search over the covers between members
+    members = set(members)
+    comps = []
+    while members:
+        comp, stack = set(), [min(members)]
+        while stack:
+            v = stack.pop()
+            if v not in comp:
+                comp.add(v)
+                stack += [w for a, b in covers if v in (a, b)
+                          for w in (a, b) if w in members]
+        members -= comp
+        comps.append(frozenset(comp))
+    return comps
 
 
 def _random_dag(rng, n, p):
@@ -80,13 +96,28 @@ def _random_dag(rng, n, p):
     return [rels[k] for k in rng.permutation(len(rels))]
 
 
-def _check_order(n, rels):
+def _check_order(rng, n, rels):
+    # every public query of the order against the pair-closure reference
     p = Poset(n, rels)
-    covers, leq, down = _order_by_pairs(n, rels)
+    lt, covers = _order_by_pairs(n, rels)
+    ground = range(1, n + 1)
     assert p.covers == covers
-    assert p._leq.dtype == bool and p._leq.shape == (n, n)
-    assert np.array_equal(p._leq, leq)
-    assert p._down == down
+    assert all(p.leq(a, b) == (a == b or (a, b) in lt)
+               for a in ground for b in ground)
+    assert p.minimal_elements() == {b for b in ground
+                                    if not any((a, b) in lt for a in ground)}
+    for _ in range(4):
+        picked = {i for i in ground if rng.random() < 0.3}
+        ideal = picked | {a for a, b in lt if b in picked}
+        assert p.down_closure(picked) == ideal
+        assert p.is_order_ideal(picked) == (picked == ideal)
+        assert p.is_order_ideal(ideal)
+        assert p.connected_components(ideal) == _components_by_search(covers, ideal)
+        labels = sorted(picked)
+        pos = {v: k + 1 for k, v in enumerate(labels)}
+        _, induced = _order_by_pairs(len(labels), [
+            (pos[a], pos[b]) for a, b in lt if a in pos and b in pos])
+        assert p.induced(picked).poset.covers == induced
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
@@ -95,15 +126,15 @@ def test_bitmask_order_at_packing_edges(n):
     # top element has every bit below it set, and a sparse random order
     rng = np.random.default_rng(n)
     chain = [(i, i + 1) for i in range(1, n)]
-    _check_order(n, [chain[k] for k in rng.permutation(len(chain))])
-    _check_order(n, _random_dag(rng, n, 0.08))
+    _check_order(rng, n, [chain[k] for k in rng.permutation(len(chain))])
+    _check_order(rng, n, _random_dag(rng, n, 0.08))
 
 
 def test_bitmask_order_matches_pair_closure():
     rng = np.random.default_rng(3)
     for _ in range(300):
         n = int(rng.integers(1, 13))
-        _check_order(n, _random_dag(rng, n, float(rng.choice([0.15, 0.3, 0.6]))))
+        _check_order(rng, n, _random_dag(rng, n, float(rng.choice([0.15, 0.3, 0.6]))))
 
 
 @pytest.mark.parametrize("rels, message", [
@@ -166,25 +197,10 @@ def test_induced_recovers_noncover_relations(q11):
 def test_graph_components_and_isolated():
     g = Graph({1, 2, 3, 4}, [(1, 2)])
     assert g.components() == [frozenset({1, 2}), frozenset({3}), frozenset({4})]
-    assert g.isolated_vertices() == {3, 4}
-    assert g.without_isolated() == Graph({1, 2}, [(1, 2)])
     with pytest.raises(ValueError):
         Graph({1, 2}, [(1, 3)])
     with pytest.raises(ValueError):
         Graph({1, 2}, [(1, 1)])
-
-
-def test_transitive_closure_builds_cliques():
-    g = Graph({1, 2, 3, 4, 5}, [(1, 2), (2, 3)])
-    closed = transitive_closure(g)
-    assert closed.edges == {frozenset(e) for e in [(1, 2), (1, 3), (2, 3)]}
-    assert closed.vertices == g.vertices
-
-
-def test_hasse_graph_restriction(q3):
-    g = q3.hasse_graph({1, 2, 3})
-    assert g.edges == {frozenset({1, 3})}
-    assert g.isolated_vertices() == {2}
 
 
 JSON_TEXT = '{"n": 3, "covers": [[1, 3]]}'
@@ -208,3 +224,33 @@ def test_load_poset_files(data_dir, q11, q3, q6):
     assert load_poset(data_dir / "q11.json") == q11
     assert load_poset(data_dir / "q3.json") == q3
     assert load_poset(data_dir / "q6.txt") == q6
+
+
+def _peak_bytes(build):
+    # tracemalloc also sees numpy's array buffers
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_order_is_held_in_memory_linear_in_its_size():
+    # a chain's down-sets hold n^2 / 2 bits, 4 MB at n = 8,000; an n x n
+    # matrix of the order would take 64 MB, before any temporaries
+    n = 8000
+    assert _peak_bytes(lambda: Poset(n, [(i, i + 1) for i in range(1, n)])) < 48e6
+    # one relation: the orbit walk holds two moves, not an n x n table
+    wide = Poset(12000, [(1, 2)])
+    m = np.zeros(12000, dtype=np.int64)
+    m[1] = 2
+    assert _peak_bytes(lambda: generate_principal(wide, m)) < 100e6
+
+
+def test_only_poset_reads_the_down_set_bitmasks():
+    # the bitmask format of the order stays behind the Poset queries
+    src = pathlib.Path(qborel.__file__).parent
+    readers = sorted(path.name for path in src.glob("*.py")
+                     if path.name != "poset.py" and "._down" in path.read_text())
+    assert readers == []

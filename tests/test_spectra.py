@@ -30,6 +30,26 @@ def primes(*sets):
     return frozenset(frozenset(s) for s in sets)
 
 
+def hasse_components(poset, members):
+    # breadth-first search over the covers between members, listed by
+    # smallest member; independent of the down-set merge in Poset
+    members = set(members)
+    comps = []
+    while members:
+        comp = {min(members)}
+        frontier = list(comp)
+        while frontier:
+            v = frontier.pop(0)
+            for a, b in poset.covers:
+                for w in ((b,) if a == v else (a,) if b == v else ()):
+                    if w in members and w not in comp:
+                        comp.add(w)
+                        frontier.append(w)
+        members -= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
 def associated_primes_all_divisors(poset, m):
     # the associated primes read off every divisor of m instead of every
     # support set; the slower reference associated_primes is checked on
@@ -41,7 +61,7 @@ def associated_primes_all_divisors(poset, m):
             continue
         sub = [i for i, e in zip(supp, exps) if e > 0]
         ideal = poset.down_closure(sub)
-        if len(poset.connected_components(ideal)) == 1:
+        if len(hasse_components(poset, ideal)) == 1:
             out.add(ideal)
     return frozenset(out)
 
@@ -101,12 +121,15 @@ def test_overlapping_down_sets_match_the_divisor_scan():
 
 
 def test_merged_down_sets_match_the_hasse_components():
-    # maximal primes and component restrictions, merged from overlapping
-    # down-sets, against the Hasse components of the order ideal
+    # components, maximal primes and component restrictions, merged from
+    # overlapping down-sets, against a search of the Hasse diagram of the
+    # order ideal
     rng = np.random.default_rng(12)
     for _ in range(2000):
         poset, m = verify._poset_monomial(rng, 8, 5)
-        comps = poset.connected_components(order_ideal(poset, m))
+        ideal = order_ideal(poset, m)
+        comps = hasse_components(poset, ideal)
+        assert poset.connected_components(ideal) == comps
         assert max_associated_primes(poset, m) == frozenset(comps)
         want = [monomials.restrict(m, c) for c in comps]
         want.sort(key=lambda part: min(monomials.support(part)))
