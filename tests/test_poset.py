@@ -70,17 +70,16 @@ def _order_by_pairs(n, rels):
 
 
 def _components_by_search(covers, members):
-    # depth-first search over the covers between members
+    # search over the covers between members, listed by smallest member
     members = set(members)
     comps = []
     while members:
-        comp, stack = set(), [min(members)]
-        while stack:
-            v = stack.pop()
+        comp, todo = set(), [min(members)]
+        while todo:
+            v = todo.pop()
             if v not in comp:
                 comp.add(v)
-                stack += [w for a, b in covers if v in (a, b)
-                          for w in (a, b) if w in members]
+                todo += [w for e in covers if v in e for w in e if w in members]
         members -= comp
         comps.append(frozenset(comp))
     return comps
@@ -241,7 +240,7 @@ def test_order_is_held_in_memory_linear_in_its_size():
     # matrix of the order would take 64 MB, before any temporaries
     n = 8000
     assert _peak_bytes(lambda: Poset(n, [(i, i + 1) for i in range(1, n)])) < 48e6
-    # one relation: the orbit walk holds two moves, not an n x n table
+    # one relation: the orbit walk holds one move, not an n x n table
     wide = Poset(12000, [(1, 2)])
     m = np.zeros(12000, dtype=np.int64)
     m[1] = 2

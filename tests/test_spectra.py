@@ -31,20 +31,17 @@ def primes(*sets):
 
 
 def hasse_components(poset, members):
-    # breadth-first search over the covers between members, listed by
-    # smallest member; independent of the down-set merge in Poset
+    # search over the covers between members, listed by smallest member;
+    # independent of the down-set merge in Poset
     members = set(members)
     comps = []
     while members:
-        comp = {min(members)}
-        frontier = list(comp)
-        while frontier:
-            v = frontier.pop(0)
-            for a, b in poset.covers:
-                for w in ((b,) if a == v else (a,) if b == v else ()):
-                    if w in members and w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
+        comp, todo = set(), [min(members)]
+        while todo:
+            v = todo.pop()
+            if v not in comp:
+                comp.add(v)
+                todo += [w for e in poset.covers if v in e for w in e if w in members]
         members -= comp
         comps.append(frozenset(comp))
     return comps
