@@ -119,7 +119,8 @@ def _cmd_spread(args):
     values = {}
     if args.method in ("formula", "all"):
         values["formula"] = spread.analytic_spread_principal(poset, m)
-    I = engine.generate_principal(poset, m)
+    if args.method != "formula":
+        I = engine.generate_principal(poset, m)
     if args.method in ("rank", "all"):
         values["rank"] = spread.analytic_spread_rank(I)
     if args.method in ("graph", "all"):

@@ -51,9 +51,20 @@ def apply_move(m, move):
     return out
 
 
-def _check_ambient(poset, m):
+def ambient_monomial(poset, m):
+    """Validate a monomial in the variables of the poset."""
+    m = monomials.monomial(m)
     if m.shape[0] != poset.n:
         raise ValueError(f"monomial has {m.shape[0]} variables, poset has {poset.n}")
+    return m
+
+
+def closure_monomial(poset, m):
+    """Validate a monomial whose closure on the poset is asked for."""
+    m = ambient_monomial(poset, m)
+    if monomials.degree(m) == 0:
+        raise ValueError("the closure of the monomial 1 is not defined")
+    return m
 
 
 def _orbit_rows(poset, m, squarefree_only=False):
@@ -90,27 +101,18 @@ def _orbit_rows(poset, m, squarefree_only=False):
         r, c = (((layer > 0) & (layer <= m))[:, src] & take[:, dst]).nonzero()
         if not r.size:
             return np.concatenate(layers)
-        layer = monomials.canonical_rows(layer[r] + step[c], one_degree=True)
-
-
-def _closure_monomial(poset, m):
-    """Validate a monomial whose closure on the poset is asked for."""
-    m = monomials.monomial(m)
-    _check_ambient(poset, m)
-    if monomials.degree(m) == 0:
-        raise ValueError("the closure of the monomial 1 is not defined")
-    return m
+        layer = monomials.canonical_rows(layer[r] + step[c])
 
 
 def generate_principal(poset, m):
     """Smallest ideal containing m and closed under the exchange moves."""
-    m = _closure_monomial(poset, m)
+    m = closure_monomial(poset, m)
     return MonomialIdeal(_orbit_rows(poset, m), poset.n, _one_degree=True)
 
 
 def generate_from_set(poset, ms):
     """Smallest ideal containing every listed monomial and closed under moves."""
-    ms = [_closure_monomial(poset, m) for m in ms]
+    ms = [closure_monomial(poset, m) for m in ms]
     if not ms:
         raise ValueError("need at least one monomial")
     return MonomialIdeal(np.concatenate([_orbit_rows(poset, m) for m in ms]), poset.n)
@@ -118,7 +120,7 @@ def generate_from_set(poset, ms):
 
 def generate_sf_principal(poset, m):
     """Ideal generated by the square-free members of the closure of m."""
-    m = _closure_monomial(poset, m)
+    m = closure_monomial(poset, m)
     if not monomials.is_squarefree(m):
         raise ValueError("square-free closure needs a square-free monomial")
     rows = _orbit_rows(poset, m, squarefree_only=True)
@@ -132,7 +134,7 @@ def transversal_factorization(poset, m):
     A_i is the down closure of {i}; the closure ideal is the product of
     the primes on A_i raised to a_i.
     """
-    m = _closure_monomial(poset, m)
+    m = closure_monomial(poset, m)
     return [
         (poset.down_closure({i}), int(m[i - 1]))
         for i in sorted(monomials.support(m))
@@ -157,12 +159,8 @@ def move_certificate(poset, m, target):
     The moves are a transport plan: the units of m shipped down the
     order onto target, which exists iff target is in the closure of m.
     """
-    m = monomials.monomial(m)
-    target = monomials.monomial(target)
-    _check_ambient(poset, m)
-    _check_ambient(poset, target)
-    if monomials.degree(m) == 0:
-        raise ValueError("the closure of the monomial 1 is not defined")
+    m = closure_monomial(poset, m)
+    target = ambient_monomial(poset, target)
     if monomials.degree(target) != monomials.degree(m):
         raise ValueError("target is not in the closure of the monomial")
     flow = _transport_plan(poset, m, target)

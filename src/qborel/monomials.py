@@ -80,14 +80,22 @@ def is_squarefree(m):
     return bool((np.asarray(m) <= 1).all())
 
 
+def _positions(members, nvars):
+    """The 0-based positions of 1-based variable indices, each checked."""
+    out = []
+    for i in members:
+        if not 1 <= i <= nvars:
+            raise ValueError(f"variable index {i} out of range 1..{nvars}")
+        out.append(i - 1)
+    return out
+
+
 def restrict(m, members):
     """Zero every exponent outside the given variable set."""
     m = np.asarray(m)
+    keep = _positions(members, m.shape[0])
     out = np.zeros_like(m)
-    for i in members:
-        if not 1 <= i <= m.shape[0]:
-            raise ValueError(f"variable index {i} out of range 1..{m.shape[0]}")
-        out[i - 1] = m[i - 1]
+    out[keep] = m[keep]
     return out
 
 
@@ -114,14 +122,15 @@ def _firsts(rows):
     return fresh
 
 
-def canonical_rows(rows, one_degree=False):
-    """The distinct rows in canonical order.
+def canonical_rows(rows):
+    """The distinct rows, sorted on their columns alone.
 
-    One sort puts each repeat right after the row it repeats.
+    That is the canonical order for rows of one degree, as an orbit's
+    are.  One sort puts each repeat right after the row it repeats.
     """
     if rows.shape[0] <= 1:
         return rows
-    rows = rows[canonical_order(rows, None if one_degree else rows.sum(axis=1))]
+    rows = rows[canonical_order(rows)]
     return rows[_firsts(rows)]
 
 
@@ -135,7 +144,7 @@ def _minimal_rows(rows):
         return rows
     degs = rows.sum(axis=1)
     if degs.min() == degs.max():
-        return canonical_rows(rows, one_degree=True)
+        return canonical_rows(rows)
     order = canonical_order(rows, degs)
     rows, degs = rows[order], degs[order]
     fresh = _firsts(rows)
@@ -303,9 +312,7 @@ def localize_contract(I, members):
     such an exponent, that is I itself.
     """
     members = frozenset(members)
-    for i in members:
-        if not 1 <= i <= I.nvars:
-            raise ValueError(f"variable index {i} out of range 1..{I.nvars}")
+    _positions(members, I.nvars)
     drop = [i for i in range(I.nvars) if (i + 1) not in members]
     if not I.gens[:, drop].any():
         return I
@@ -316,12 +323,9 @@ def localize_contract(I, members):
 
 def variable_prime(members, nvars):
     """The prime ideal generated by the given variables."""
-    members = sorted(frozenset(members))
-    rows = np.zeros((len(members), nvars), dtype=np.int64)
-    for r, i in enumerate(members):
-        if not 1 <= i <= nvars:
-            raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        rows[r, i - 1] = 1
+    cols = _positions(sorted(frozenset(members)), nvars)
+    rows = np.zeros((len(cols), nvars), dtype=np.int64)
+    rows[np.arange(len(cols)), cols] = 1
     return MonomialIdeal(rows, nvars)
 
 

@@ -80,17 +80,13 @@ class Poset:
     def lt(self, j, i):
         return j != i and self.leq(j, i)
 
-    def _union(self, members):
-        """Bitmask of the down closure of an iterable of indices."""
+    def down_closure(self, members):
+        """All indices below some member, members included."""
         mask = 0
         for i in members:
             self._check_index(i)
             mask |= self._down[i - 1]
-        return mask
-
-    def down_closure(self, members):
-        """All indices below some member, members included."""
-        return _members(self._union(frozenset(members)))
+        return _members(mask)
 
     def is_order_ideal(self, members):
         return self.down_closure(members) == frozenset(members)
@@ -99,23 +95,27 @@ class Poset:
         return frozenset(i + 1 for i, d in enumerate(self._down) if d == 1 << i)
 
     def connected_components(self, members):
-        """Components of the Hasse diagram induced on an order ideal.
+        """Components of the subposet induced on members.
 
-        They are merged by overlap from the down-sets of its members (see
-        connected_ideals), listed by smallest member.  A down-set finds
-        the unions it meets through the union that took each element.
+        Two members share a component iff a chain of members joins them,
+        each comparable to the next.  Each set down(i) & members, i a
+        member, is joined through i, and holds any two comparable members
+        when i is the larger, so the components are these sets merged by
+        overlap, listed by smallest member.  A set finds the unions it
+        meets through the union that took each element.
         """
         members = frozenset(members)
-        # the union holds every member, so it is no larger iff it is equal
-        if self._union(members).bit_count() != len(members):
-            raise ValueError("component decomposition needs an order ideal")
+        inside = 0
+        for i in members:
+            self._check_index(i)
+            inside |= 1 << (i - 1)
         unions, into, owner, seen = [], [], {}, 0
         for i in members:
             if seen >> (i - 1) & 1:
                 continue
             k = len(unions)
             into.append(k)
-            union = self._down[i - 1]
+            union = self._down[i - 1] & inside
             meets = union & seen
             while meets:
                 c = _find(into, owner[meets & -meets])

@@ -14,9 +14,14 @@ from .errors import TheoremViolation
 
 def order_ideal(poset, m):
     """Down closure of the support of m; empty for m = 1."""
-    m = monomials.monomial(m)
-    engine._check_ambient(poset, m)
+    m = engine.ambient_monomial(poset, m)
     return poset.down_closure(monomials.support(m))
+
+
+def _ideal_components(poset, m):
+    """m, validated, and the components of its order ideal A(m)."""
+    m = engine.closure_monomial(poset, m)
+    return m, poset.connected_components(poset.down_closure(monomials.support(m)))
 
 
 def maximal_components(poset, m):
@@ -25,12 +30,8 @@ def maximal_components(poset, m):
     The restrictions multiply back to m and their order ideals are the
     components, listed by smallest supported variable.
     """
-    m = monomials.monomial(m)
-    engine._check_ambient(poset, m)
-    if monomials.degree(m) == 0:
-        raise ValueError("the monomial 1 has no component decomposition")
-    ideal = poset.down_closure(monomials.support(m))
-    parts = [monomials.restrict(m, c) for c in poset.connected_components(ideal)]
+    m, comps = _ideal_components(poset, m)
+    parts = [monomials.restrict(m, c) for c in comps]
     parts.sort(key=lambda part: min(monomials.support(part)))
     return parts
 
@@ -43,10 +44,7 @@ def associated_primes(poset, m):
     only depends on its support, subsets of supp(m) cover all cases
     (see Poset.connected_ideals).
     """
-    m = monomials.monomial(m)
-    engine._check_ambient(poset, m)
-    if monomials.degree(m) == 0:
-        raise ValueError("the monomial 1 has no associated primes")
+    m = engine.closure_monomial(poset, m)
     return poset.connected_ideals(monomials.support(m))
 
 
@@ -56,12 +54,7 @@ def max_associated_primes(poset, m):
     These are exactly the components of the order ideal of m, each being
     connected, down closed, and not contained in any other candidate.
     """
-    m = monomials.monomial(m)
-    engine._check_ambient(poset, m)
-    if monomials.degree(m) == 0:
-        raise ValueError("the monomial 1 has no associated primes")
-    ideal = poset.down_closure(monomials.support(m))
-    return frozenset(poset.connected_components(ideal))
+    return frozenset(_ideal_components(poset, m)[1])
 
 
 def component_decomposition(poset, m):
@@ -105,7 +98,7 @@ def containment_invariants(poset, m, d_max):
     """
     if int(d_max) != d_max or d_max < 1:
         raise ValueError("containment data wants an integer bound d_max >= 1")
-    m = monomials.monomial(m)
+    m = engine.closure_monomial(poset, m)
     powers = monomials.powers(engine.generate_principal(poset, m), d_max)
     symbolic = symbolic_power_contractions(poset, m, powers)
     sdefect = []

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels, engine, monomials
 from .poset import Graph
-from .spectra import order_ideal
+from .spectra import max_associated_primes
 
 
 def integer_rank(mat):
@@ -35,13 +35,8 @@ def analytic_spread_rank(I):
 
 def analytic_spread_principal(poset, m):
     """Closed form for closure ideals: |A(m)| - K(A(m)) + 1."""
-    m = monomials.monomial(m)
-    engine._check_ambient(poset, m)
-    if monomials.degree(m) == 0:
-        raise ValueError("the monomial 1 has no closure ideal")
-    ideal = order_ideal(poset, m)
-    comps = poset.connected_components(ideal)
-    return len(ideal) - len(comps) + 1
+    comps = max_associated_primes(poset, m)
+    return sum(map(len, comps)) - len(comps) + 1
 
 
 def linear_relation_graph(I):
@@ -88,10 +83,10 @@ def check_transitive_closure_theorem(poset, m, I):
     The relation graph of I, the closure ideal of m, must equal the
     transitive closure of the Hasse diagram of A(m) with isolated
     vertices dropped: a clique on each component of A(m) with at least
-    two members.
+    two members.  The monomial 1 has no closure ideal and is refused.
     """
     graph = linear_relation_graph(I)
-    comps = [c for c in poset.connected_components(order_ideal(poset, m)) if len(c) > 1]
+    comps = [c for c in max_associated_primes(poset, m) if len(c) > 1]
     expected = Graph(frozenset().union(*comps),
                      [e for c in comps for e in combinations(c, 2)])
     missing = expected.edges - graph.edges
@@ -114,22 +109,17 @@ def analytic_spread_sf(poset, m):
     """Spread of the square-free closure ideal via its gcd reduction.
 
     Dividing out m' = gcd of the generators leaves a closure ideal over
-    the induced subposet on the complement of supp(m'); its closed form
-    gives the spread.
+    the subposet induced on the complement of supp(m'); its closed form
+    gives the spread.  Its order ideal S is the down closure of supp(m)
+    cut to that ground set, and S's components in the subposet are
+    those Poset.connected_components finds on the members of S.
     """
-    I = engine.generate_sf_principal(poset, m)
-    m = monomials.monomial(m)
-    shared = I.gens.min(axis=0)
+    m = engine.closure_monomial(poset, m)
+    shared = engine.generate_sf_principal(poset, m).gens.min(axis=0)
     ground = frozenset(range(1, poset.n + 1)) - monomials.support(shared)
-    induced = poset.induced(ground)
-    quotient = m - shared
-    sub = np.zeros(induced.poset.n, dtype=np.int64)
-    for k, label in enumerate(induced.labels):
-        sub[k] = quotient[label - 1]
-    ideal = induced.poset.down_closure(monomials.support(sub))
-    comps = induced.poset.connected_components(ideal)
+    ideal = poset.down_closure(monomials.support(m) & ground) & ground
     return SquarefreeSpread(
-        spread=len(ideal) - len(comps) + 1,
+        spread=len(ideal) - len(poset.connected_components(ideal)) + 1,
         gcd=shared,
         induced_ground=ground,
     )

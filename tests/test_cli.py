@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import qborel
-from qborel import MonomialIdeal, cli
+from qborel import MonomialIdeal, cli, engine
 
 Q11_ORDERED = [
     "x1*x6^2", "x1*x6*x7", "x1*x6*x9", "x1*x7^2", "x1*x7*x9", "x1*x9^2",
@@ -146,6 +146,17 @@ def test_spread_single_method(capsys, q3_path):
                            "--method", "rank")
     assert code == 0
     assert out.strip() == "rank=2"
+
+
+def test_spread_formula_builds_no_closure(capsys, q11_path, count_calls):
+    # the closed form reads the order ideal; only rank and graph need I
+    calls, count = count_calls
+    count(engine, "generate_principal")
+    code, out, _ = run_cli(capsys, "spread", q11_path, "x4*x9^2",
+                           "--method", "formula")
+    assert code == 0
+    assert out.strip() == "formula=4"
+    assert calls == {}
 
 
 def test_sfspread(capsys, q6_path):
@@ -377,6 +388,13 @@ def test_exit_precondition_errors(capsys, q3_path, q11_path):
     assert code == cli.EXIT_PRECONDITION
     code, _, _ = run_cli(capsys, "certify", q3_path, "x2*x3", "x1*x3")
     assert code == cli.EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("command", ["ass", "maxass", "decompose", "spread"])
+def test_monomial_one_gets_the_closure_message(capsys, q3_path, command):
+    code, out, err = run_cli(capsys, command, q3_path, "1")
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    assert err.splitlines() == ["error: the closure of the monomial 1 is not defined"]
 
 
 def test_exponent_overflow_names_the_range(capsys, q11_path):

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from qborel import (
     parse_monomial,
     transversal_factorization,
 )
+import qborel
 from qborel import engine, monomials
 
 # the twelve generators of the closure of x4*x9^2 on the 11-element poset
@@ -273,3 +277,14 @@ def test_certificate_builds_one_move_per_pair(count_calls):
 def test_certificate_rejects_outsider(q3, m23):
     with pytest.raises(ValueError):
         move_certificate(q3, m23, parse_monomial("x1*x3", 3))
+
+
+def test_only_engine_validates_a_monomial_against_a_poset():
+    # every entry point goes through engine.ambient_monomial or
+    # engine.closure_monomial instead of a copy of the check
+    src = pathlib.Path(qborel.__file__).parent
+    check = re.compile(r"(?:\bmonomials\.|(?<![\w.]))monomial\(|_check_ambient\(")
+    callers = sorted(path.name for path in src.glob("*.py")
+                     if path.name not in ("engine.py", "monomials.py")
+                     and check.search(path.read_text()))
+    assert callers == []

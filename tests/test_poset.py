@@ -116,7 +116,12 @@ def _check_order(rng, n, rels):
         pos = {v: k + 1 for k, v in enumerate(labels)}
         _, induced = _order_by_pairs(len(labels), [
             (pos[a], pos[b]) for a, b in lt if a in pos and b in pos])
-        assert p.induced(picked).poset.covers == induced
+        ind = p.induced(picked)
+        assert ind.poset.covers == induced
+        # components of any member set are those of the subposet it induces
+        assert p.connected_components(picked) == [
+            frozenset(ind.labels[k - 1] for k in c)
+            for c in _components_by_search(ind.poset.covers, range(1, len(labels) + 1))]
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
@@ -176,8 +181,12 @@ def test_connected_components(q11, q3):
     assert q11.connected_components({1, 4, 6, 7, 9}) == [
         frozenset({1, 4}), frozenset({6, 7, 9})]
     assert q3.connected_components({1, 2, 3}) == [frozenset({1, 3}), frozenset({2})]
+    # any member set: 1 < 5 only through the non-members 2 and 4
+    assert q11.connected_components({4, 9}) == [frozenset({4}), frozenset({9})]
+    assert q11.connected_components({1, 5, 9, 11}) == [
+        frozenset({1, 5}), frozenset({9, 11})]
     with pytest.raises(ValueError):
-        q11.connected_components({4, 9})
+        q11.connected_components({0, 1})
 
 
 def test_induced_chain(q6):

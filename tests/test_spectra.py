@@ -8,7 +8,10 @@ from qborel import (
     MonomialIdeal,
     Poset,
     TheoremViolation,
+    analytic_spread_principal,
+    analytic_spread_sf,
     associated_primes,
+    check_transitive_closure_theorem,
     component_decomposition,
     containment_invariants,
     format_monomial,
@@ -17,6 +20,7 @@ from qborel import (
     intersection,
     max_associated_primes,
     maximal_components,
+    move_certificate,
     order_ideal,
     parse_monomial,
     power,
@@ -68,6 +72,33 @@ def test_order_ideal(q11, m49):
     assert order_ideal(q11, parse_monomial("x9", 11)) == {6, 7, 9}
     assert order_ideal(q11, parse_monomial("x9^2", 11)) == {6, 7, 9}
     assert order_ideal(q11, parse_monomial("1", 11)) == frozenset()
+
+
+@pytest.mark.parametrize("call", [
+    maximal_components,
+    associated_primes,
+    max_associated_primes,
+    analytic_spread_principal,
+    analytic_spread_sf,
+    pytest.param(lambda poset, m: containment_invariants(poset, m, 2),
+                 id="containment_invariants"),
+    pytest.param(lambda poset, m: move_certificate(poset, m, m), id="move_certificate"),
+    pytest.param(lambda poset, m: check_transitive_closure_theorem(
+        poset, m, MonomialIdeal.unit(poset.n)), id="check_transitive_closure_theorem"),
+])
+def test_entry_points_refuse_one_and_a_wrong_length(q3, call):
+    # one prologue in engine validates m for every entry point
+    with pytest.raises(ValueError, match="^the closure of the monomial 1 is not defined$"):
+        call(q3, parse_monomial("1", 3))
+    with pytest.raises(ValueError, match="^monomial has 2 variables, poset has 3$"):
+        call(q3, [1, 1])
+
+
+def test_order_ideal_and_target_refuse_a_wrong_length(q3, m23):
+    with pytest.raises(ValueError, match="^monomial has 4 variables, poset has 3$"):
+        order_ideal(q3, [0, 1, 1, 0])
+    with pytest.raises(ValueError, match="^monomial has 2 variables, poset has 3$"):
+        move_certificate(q3, m23, [1, 1])
 
 
 def test_maximal_components(q11, m49, q3, m23):

@@ -17,7 +17,7 @@ from qborel import (
     parse_monomial,
     spread_via_relation_graph,
 )
-from qborel import engine, spread, verify
+from qborel import engine, monomials, spread, verify
 
 
 def test_integer_rank_basics():
@@ -115,6 +115,46 @@ def test_sf_spread_worked_example(q6, m1236):
     assert analytic_spread_rank(generate_sf_principal(q6, m1236)) == 3
     induced = q6.induced(result.induced_ground)
     assert induced.poset.covers == {(1, 2), (2, 3)}
+
+
+def _sf_spread_on_the_induced_poset(poset, m):
+    # the reduction read literally: a second poset induced on the ground
+    # set left by the gcd, the reduced monomial relabelled onto it, and
+    # the components of its order ideal searched over its covers
+    shared = generate_sf_principal(poset, m).gens.min(axis=0)
+    ground = frozenset(range(1, poset.n + 1)) - monomials.support(shared)
+    induced = poset.induced(ground)
+    sub = np.array([m[i - 1] - shared[i - 1] for i in induced.labels], dtype=np.int64)
+    ideal = induced.poset.down_closure(monomials.support(sub))
+    graph = Graph(ideal, [e for e in induced.poset.covers if set(e) <= ideal])
+    return len(ideal) - len(graph.components()) + 1, shared, ground
+
+
+def test_sf_spread_matches_the_induced_poset():
+    rng = np.random.default_rng(14)
+    seen = set()
+    for _ in range(500):
+        poset, m = verify._poset_squarefree(rng, 8, 5)
+        result = analytic_spread_sf(poset, m)
+        want, shared, ground = _sf_spread_on_the_induced_poset(poset, m)
+        assert result.spread == want
+        assert np.array_equal(result.gcd, shared)
+        assert result.induced_ground == ground
+        seen.add(want)
+    assert len(seen) >= 4
+
+
+def test_sf_spread_builds_no_second_poset(q6, m1236, monkeypatch):
+    # the components come from the merge on the poset already held
+    def refuse(*args):
+        raise AssertionError("a second poset was built")
+
+    monkeypatch.setattr(Poset, "induced", refuse)
+    monkeypatch.setattr(Poset, "__init__", refuse)
+    result = analytic_spread_sf(q6, m1236)
+    assert result.spread == 3
+    assert format_monomial(result.gcd) == "x1*x2*x3"
+    assert result.induced_ground == {4, 5, 6}
 
 
 def test_sf_spread_antichain():
