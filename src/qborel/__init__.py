@@ -44,7 +44,6 @@ from .poset import Graph, InducedPoset, Poset, load_poset, parse_poset
 from .spectra import (
     ContainmentInvariants,
     associated_primes,
-    component_decomposition,
     containment_invariants,
     max_associated_primes,
     maximal_components,

@@ -1,10 +1,14 @@
 """Command line interface.
 
-Every subcommand takes a poset file (JSON with keys n and covers, or the
-line format 'n' then 'j < i' per line) and monomials like x4*x9^2.
-Output is deterministic text, or JSON with --json.  Exit codes: 0 ok,
-2 unreadable input, 3 precondition violation (running out of memory
-included), 4 a structural identity failed on the instance.
+Every subcommand but verify takes a poset file (JSON with keys n and
+covers, or the line format 'n' then 'j < i' per line) and a monomial
+like x4*x9^2, and is a query (poset, m, args) -> (lines, payload).  One
+runner loads the poset, parses m, calls the query and prints its lines,
+or its payload as JSON with --json; a query that fails has printed
+nothing.  Output is deterministic.  Exit codes: 0 ok, 2 unreadable
+input, 3 precondition violation (running out of memory included), 4 a
+structural identity failed on the instance (verify prints its report
+first).
 """
 
 import argparse
@@ -31,74 +35,55 @@ def _emit(args, lines, payload):
             print(line)
 
 
-def _prime_text(members):
-    return "<" + ",".join(f"x{i}" for i in sorted(members)) + ">"
-
-
-def _sorted_primes(primes):
-    return sorted((sorted(p) for p in primes))
-
-
-def _load(args):
+def _run_query(args):
+    """Load the poset, parse m, run the query on them and print its output."""
     poset = load_poset(args.poset)
     m = parse_monomial(args.monomial, poset.n)
-    return poset, m
-
-
-def _cmd_gen(args):
-    poset, m = _load(args)
-    gens = engine.generate_principal(poset, m).generator_strings()
-    _emit(args, gens, {"generators": gens})
+    _emit(args, *args.query(poset, m, args))
     return EXIT_OK
 
 
-def _cmd_sfgen(args):
-    poset, m = _load(args)
-    gens = engine.generate_sf_principal(poset, m).generator_strings()
-    _emit(args, gens, {"generators": gens})
-    return EXIT_OK
+def _generator_output(ideal):
+    gens = ideal.generator_strings()
+    return gens, {"generators": gens}
 
 
-def _cmd_ass(args):
-    poset, m = _load(args)
-    primes = _sorted_primes(spectra.associated_primes(poset, m))
-    _emit(args, [_prime_text(p) for p in primes], {"primes": primes})
-    return EXIT_OK
+def _prime_output(primes):
+    primes = sorted(sorted(p) for p in primes)
+    lines = ["<" + ",".join(f"x{i}" for i in p) + ">" for p in primes]
+    return lines, {"primes": primes}
 
 
-def _cmd_maxass(args):
-    poset, m = _load(args)
-    primes = _sorted_primes(spectra.max_associated_primes(poset, m))
-    _emit(args, [_prime_text(p) for p in primes], {"primes": primes})
-    return EXIT_OK
+def _gen(poset, m, args):
+    return _generator_output(engine.generate_principal(poset, m))
 
 
-def _cmd_decompose(args):
-    poset, m = _load(args)
-    parts = spectra.maximal_components(poset, m)
-    ideals = spectra.component_decomposition(poset, m)
-    lines = [
-        f"{format_monomial(mk)}: " + ", ".join(ideal.generator_strings())
-        for mk, ideal in zip(parts, ideals)
-    ]
+def _sfgen(poset, m, args):
+    return _generator_output(engine.generate_sf_principal(poset, m))
+
+
+def _ass(poset, m, args):
+    return _prime_output(spectra.associated_primes(poset, m))
+
+
+def _maxass(poset, m, args):
+    return _prime_output(spectra.max_associated_primes(poset, m))
+
+
+def _decompose(poset, m, args):
+    parts = [(format_monomial(mk), engine.generate_principal(poset, mk).generator_strings())
+             for mk in spectra.maximal_components(poset, m)]
+    lines = [f"{mk}: " + ", ".join(gens) for mk, gens in parts]
     payload = {"components": [
-        {"monomial": format_monomial(mk), "generators": ideal.generator_strings()}
-        for mk, ideal in zip(parts, ideals)
-    ]}
-    _emit(args, lines, payload)
-    return EXIT_OK
+        {"monomial": mk, "generators": gens} for mk, gens in parts]}
+    return lines, payload
 
 
-def _cmd_power(args):
-    poset, m = _load(args)
-    I = engine.generate_principal(poset, m)
-    gens = monomials.power(I, args.d).generator_strings()
-    _emit(args, gens, {"generators": gens})
-    return EXIT_OK
+def _power(poset, m, args):
+    return _generator_output(monomials.power(engine.generate_principal(poset, m), args.d))
 
 
-def _cmd_sympow(args):
-    poset, m = _load(args)
+def _sympow(poset, m, args):
     I = engine.generate_principal(poset, m)
     result = monomials.power(I, args.d)
     if args.method == "oracle":
@@ -109,13 +94,10 @@ def _cmd_sympow(args):
             raise TheoremViolation(
                 f"symbolic power {args.d} of {format_monomial(m)} differs "
                 f"from the ordinary power")
-    gens = result.generator_strings()
-    _emit(args, gens, {"generators": gens})
-    return EXIT_OK
+    return _generator_output(result)
 
 
-def _cmd_spread(args):
-    poset, m = _load(args)
+def _spread(poset, m, args):
     values = {}
     if args.method in ("formula", "all"):
         values["formula"] = spread.analytic_spread_principal(poset, m)
@@ -127,14 +109,12 @@ def _cmd_spread(args):
         graph = spread.linear_relation_graph(I)
         values["graph"] = spread.spread_via_relation_graph(graph)
     line = " ".join(f"{k}={values[k]}" for k in ("formula", "rank", "graph") if k in values)
-    _emit(args, [line], values)
     if len(set(values.values())) > 1:
         raise TheoremViolation(f"spread methods disagree: {line}")
-    return EXIT_OK
+    return [line], values
 
 
-def _cmd_sfspread(args):
-    poset, m = _load(args)
+def _sfspread(poset, m, args):
     result = spread.analytic_spread_sf(poset, m)
     ground = sorted(result.induced_ground)
     line = (f"spread={result.spread} gcd={format_monomial(result.gcd)} "
@@ -144,31 +124,24 @@ def _cmd_sfspread(args):
         "gcd": format_monomial(result.gcd),
         "inducedGroundSet": ground,
     }
-    _emit(args, [line], payload)
-    return EXIT_OK
+    return [line], payload
 
 
-def _cmd_lrg(args):
-    poset, m = _load(args)
-    I = engine.generate_principal(poset, m)
-    graph = spread.linear_relation_graph(I)
+def _lrg(poset, m, args):
+    graph = spread.linear_relation_graph(engine.generate_principal(poset, m))
     edges = sorted(sorted(e) for e in graph.edges)
-    _emit(args, [f"x{a} x{b}" for a, b in edges],
-          {"vertices": sorted(graph.vertices), "edges": edges})
-    return EXIT_OK
+    return ([f"x{a} x{b}" for a, b in edges],
+            {"vertices": sorted(graph.vertices), "edges": edges})
 
 
-def _cmd_certify(args):
-    poset, m = _load(args)
+def _certify(poset, m, args):
     target = parse_monomial(args.target, poset.n)
     moves = engine.move_certificate(poset, m, target)
-    _emit(args, [f"x{mv.i} -> x{mv.j}" for mv in moves],
-          {"moves": [[mv.i, mv.j] for mv in moves]})
-    return EXIT_OK
+    return ([f"x{mv.i} -> x{mv.j}" for mv in moves],
+            {"moves": [[mv.i, mv.j] for mv in moves]})
 
 
-def _cmd_invariants(args):
-    poset, m = _load(args)
+def _invariants(poset, m, args):
     data = spectra.containment_invariants(poset, m, args.d)
     lines = [
         f"waldschmidt={data.waldschmidt}",
@@ -182,8 +155,7 @@ def _cmd_invariants(args):
         "sdefect": list(data.sdefect),
         "resurgenceBound": str(data.resurgence_bound),
     }
-    _emit(args, lines, payload)
-    return EXIT_OK
+    return lines, payload
 
 
 def _cmd_verify(args):
@@ -233,40 +205,39 @@ def _build_parser():
         description="Closure ideals of monomials under poset exchange moves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, helptext, monomial=True):
+    def add(name, query, helptext):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("poset", help="poset file (JSON or line format)")
-        if monomial:
-            p.add_argument("monomial", help="monomial like x4*x9^2")
+        p.add_argument("monomial", help="monomial like x4*x9^2")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_run_query, query=query)
         return p
 
-    add("gen", _cmd_gen, "minimal generators of the closure ideal")
-    add("sfgen", _cmd_sfgen, "generators of the square-free closure ideal")
-    add("ass", _cmd_ass, "associated primes")
-    add("maxass", _cmd_maxass, "inclusion-maximal associated primes")
-    add("decompose", _cmd_decompose, "component decomposition")
+    add("gen", _gen, "minimal generators of the closure ideal")
+    add("sfgen", _sfgen, "generators of the square-free closure ideal")
+    add("ass", _ass, "associated primes")
+    add("maxass", _maxass, "inclusion-maximal associated primes")
+    add("decompose", _decompose, "component decomposition")
 
-    p = add("power", _cmd_power, "ordinary power of the closure ideal")
+    p = add("power", _power, "ordinary power of the closure ideal")
     p.add_argument("-d", type=int, required=True, help="exponent, d >= 1")
 
-    p = add("sympow", _cmd_sympow, "symbolic power of the closure ideal")
+    p = add("sympow", _sympow, "symbolic power of the closure ideal")
     p.add_argument("-d", type=int, required=True, help="exponent, d >= 1")
     p.add_argument("--method", choices=("theorem", "oracle", "both"),
                    default="theorem")
 
-    p = add("spread", _cmd_spread, "analytic spread")
+    p = add("spread", _spread, "analytic spread")
     p.add_argument("--method", choices=("formula", "rank", "graph", "all"),
                    default="all")
 
-    add("sfspread", _cmd_sfspread, "spread of the square-free closure ideal")
-    add("lrg", _cmd_lrg, "linear relation graph edges")
+    add("sfspread", _sfspread, "spread of the square-free closure ideal")
+    add("lrg", _lrg, "linear relation graph edges")
 
-    p = add("certify", _cmd_certify, "moves from the monomial to a generator")
+    p = add("certify", _certify, "moves from the monomial to a generator")
     p.add_argument("target", help="target monomial")
 
-    p = add("invariants", _cmd_invariants, "containment invariants")
+    p = add("invariants", _invariants, "containment invariants")
     p.add_argument("-d", type=int, default=3, help="largest power checked")
 
     p = sub.add_parser("verify", help="randomized identity checks")

@@ -256,11 +256,9 @@ def _relation_token(tok, lineno):
 
 
 def poset_from_text(text):
-    """Parse the line format: first line n, then one 'j < i' per line."""
-    lines = [
-        (k + 1, ln.strip()) for k, ln in enumerate(text.splitlines())
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    """Parse the line format: n, then one 'j < i' per line; '#' starts a comment."""
+    lines = [(k + 1, ln.partition("#")[0].strip()) for k, ln in enumerate(text.splitlines())]
+    lines = [(k, ln) for k, ln in lines if ln]
     if not lines:
         raise ParseError("empty poset description")
     lineno, head = lines[0]

@@ -57,15 +57,6 @@ def max_associated_primes(poset, m):
     return frozenset(_ideal_components(poset, m)[1])
 
 
-def component_decomposition(poset, m):
-    """Closure ideals of the component restrictions of m.
-
-    Their intersection is the closure ideal of m; the pieces have
-    pairwise disjoint order ideals.
-    """
-    return [engine.generate_principal(poset, mk) for mk in maximal_components(poset, m)]
-
-
 def symbolic_power_contractions(poset, m, powers):
     """Symbolic powers by intersecting localized contractions.
 

@@ -81,6 +81,16 @@ def test_decompose(capsys, q3_path):
     assert out.splitlines() == ["x2: x2", "x3: x1, x3"]
 
 
+def test_decompose_merges_once(capsys, q11_path, count_calls):
+    calls, count = count_calls
+    count(qborel.Poset, "connected_components")
+    code, out, _ = run_cli(capsys, "decompose", q11_path, "x4*x9^2")
+    assert code == 0
+    assert out.splitlines() == [
+        "x4: x1, x4", "x9^2: x6^2, x6*x7, x6*x9, x7^2, x7*x9, x9^2"]
+    assert calls == {"connected_components": 1}
+
+
 def test_power(capsys, q3_path):
     code, out, _ = run_cli(capsys, "power", q3_path, "x2*x3", "-d", "2")
     assert code == 0
@@ -139,6 +149,17 @@ def test_spread_all(capsys, q3_path, q11_path):
                            "--method", "all")
     assert code == 0
     assert out.strip() == "formula=4 rank=4 graph=4"
+
+
+def test_spread_all_detects_mismatch(capsys, q11_path, monkeypatch):
+    # force the rank route to lie: nothing is printed, and the violation
+    # names all three values
+    monkeypatch.setattr(cli.spread, "analytic_spread_rank", lambda I: 7)
+    code, out, err = run_cli(capsys, "spread", q11_path, "x4*x9^2",
+                             "--method", "all")
+    assert code == cli.EXIT_VIOLATION and out == ""
+    assert err.splitlines() == [
+        "violation: spread methods disagree: formula=4 rank=7 graph=4"]
 
 
 def test_spread_single_method(capsys, q3_path):

@@ -220,6 +220,14 @@ def test_parse_dispatch():
     assert poset_from_text("  # comment\n2\n1 < 2\n").covers == {(1, 2)}
 
 
+def test_parse_trailing_comments():
+    text = "3  # size\n1 < 3  # note\nx2 < x3#tight\n"
+    assert poset_from_text(text).covers == {(1, 3), (2, 3)}
+    # cut comments keep the line numbers of the file
+    with pytest.raises(ParseError, match="line 3: expected 'j < i', got '1 2'"):
+        poset_from_text("# head\n2\n1 2  # no relation sign\n")
+
+
 def test_parse_errors():
     for bad in ("", "{", '{"n": 3}', '{"n": "3", "covers": []}',
                 '{"n": 3, "covers": [[1]]}', "x\n1 < 2", "2\n1 2", "2\n1 < 1"):

@@ -12,7 +12,6 @@ from qborel import (
     analytic_spread_sf,
     associated_primes,
     check_transitive_closure_theorem,
-    component_decomposition,
     containment_invariants,
     format_monomial,
     generate_principal,
@@ -174,20 +173,31 @@ def test_max_associated_primes(q11, m49):
         assert sum(p <= q for q in maxes) == 1
 
 
+def _component_closures(poset, m):
+    return [generate_principal(poset, mk) for mk in maximal_components(poset, m)]
+
+
 def test_component_decomposition(q11, m49, q3, m23):
-    parts = component_decomposition(q11, m49)
+    parts = _component_closures(q11, m49)
     assert len(parts) == 2
     meet = intersection(parts[0], parts[1])
     assert meet == generate_principal(q11, m49)
 
-    small = component_decomposition(q3, m23)
+    small = _component_closures(q3, m23)
     assert [p.generator_strings() for p in small] == [["x2"], ["x1", "x3"]]
     assert intersection(small[0], small[1]) == generate_principal(q3, m23)
 
 
 def test_component_decomposition_connected(q3):
     m = parse_monomial("x3", 3)
-    assert component_decomposition(q3, m) == [generate_principal(q3, m)]
+    assert _component_closures(q3, m) == [generate_principal(q3, m)]
+
+
+def test_decomposition_trial_merges_once(q11, m49, count_calls):
+    calls, count = count_calls
+    count(Poset, "connected_components")
+    assert verify.check_decomposition(q11, m49) == []
+    assert calls == {"connected_components": 1}
 
 
 def test_symbolic_power_routes(q3, m23):

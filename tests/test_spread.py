@@ -103,8 +103,27 @@ def test_spread_trial_generates_once(q11, m49, count_calls):
     calls, count = count_calls
     count(engine, "generate_principal")
     count(spread, "linear_relation_graph")
+    count(Poset, "connected_components")
     assert verify.check_spread(q11, m49) == []
-    assert calls == {"generate_principal": 1, "linear_relation_graph": 1}
+    # one merge for the formula, one for the cliques the graph must have
+    assert calls == {"generate_principal": 1, "linear_relation_graph": 1,
+                     "connected_components": 2}
+
+
+def test_spread_trial_fails_on_a_missing_component(q11, m49, monkeypatch):
+    # a relation graph without the clique on {1, 4}: the comparison with
+    # the closed Hasse diagram alone must name it
+    real = spread.linear_relation_graph
+
+    def without_x1_x4(I):
+        graph = real(I)
+        edges = graph.edges - {frozenset({1, 4})}
+        return Graph(frozenset().union(*edges), edges)
+
+    monkeypatch.setattr(spread, "linear_relation_graph", without_x1_x4)
+    fails = verify.check_spread(q11, m49)
+    assert any(f.startswith("relation graph of x4*x9^2") and "missing [[1, 4]]" in f
+               for f in fails)
 
 
 def test_sf_spread_worked_example(q6, m1236):
