@@ -11,6 +11,25 @@ BACKEND = "numpy"
 # Chunk bound for the broadcasted comparisons, in comparison cells.
 _CHUNK_CELLS = 1 << 22
 
+# numpy radix-sorts 8- and 16-bit keys and merge-sorts wider ones.  From
+# about this many rows on, taking the largest key and casting down costs
+# less than the wider sort.  On 8 int64 columns (2 vCPUs, numpy 2.4) 16
+# rows sort in 3.6 us as they are and in 7.3 us cast, 512 rows in 117 us
+# and in 20 us; on 4 to 12 columns the two cross at 64 to 160 rows.
+NARROW_SORT_ROWS = 128
+
+
+def sort_keys(keys):
+    """Nonnegative sort keys in the narrowest type that holds them all.
+
+    Keys with fewer than NARROW_SORT_ROWS rows, or of 16 bits or fewer,
+    are returned as they are.  The cast is a copy: stored rows keep
+    their type.
+    """
+    if len(keys) < NARROW_SORT_ROWS or keys.dtype.itemsize <= 2:
+        return keys
+    return keys.astype(np.min_scalar_type(int(keys.max())))
+
 
 def minimalize_keep(rows, degs):
     """Mask of the rows no kept row of strictly smaller degree divides.
@@ -65,9 +84,10 @@ def integer_rank_kernel(mat):
     """Exact rank of an integer matrix over the rationals.
 
     Fraction-free elimination over an object array of python ints, so
-    no intermediate can overflow.
+    no intermediate can overflow.  mat holds int64 entries or python
+    ints of any size.
     """
-    M = np.ascontiguousarray(mat, dtype=np.int64).astype(object)
+    M = np.array(mat, dtype=object)
     if M.size == 0:
         return 0
     rows, cols = M.shape
@@ -105,7 +125,7 @@ def relation_adjacency(gens, adj):
         return adj
     kids = gens[r]
     kids[np.arange(r.size), c] -= 1
-    order = np.lexsort(kids.T)
+    order = np.lexsort(sort_keys(kids).T)
     kids, c = kids[order], c[order]
     fresh = np.ones(r.size, np.bool_)
     fresh[1:] = (kids[1:] != kids[:-1]).any(axis=1)

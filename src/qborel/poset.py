@@ -1,6 +1,7 @@
 """Finite posets on variable indices 1..n, plus small undirected graphs."""
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -245,12 +246,23 @@ class Graph:
         return comps
 
 
+# int() also reads the digits of other scripts and '_' between digits
+_INTEGER_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _integer(text):
+    """int(text) of ASCII digits, with an optional sign and spaces around."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _relation_token(tok, lineno):
     tok = tok.strip()
     if tok.startswith("x"):
         tok = tok[1:]
     try:
-        return int(tok)
+        return _integer(tok)
     except ValueError:
         raise ParseError(f"line {lineno}: expected a variable index, got {tok!r}") from None
 
@@ -263,7 +275,7 @@ def poset_from_text(text):
         raise ParseError("empty poset description")
     lineno, head = lines[0]
     try:
-        n = int(head)
+        n = _integer(head)
     except ValueError:
         raise ParseError(f"line {lineno}: expected the ground set size, got {head!r}") from None
     rels = []

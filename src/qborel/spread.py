@@ -17,11 +17,32 @@ from .spectra import max_associated_primes
 
 
 def integer_rank(mat):
-    """Exact rank of an integer matrix over the rationals."""
+    """Exact rank of an integer matrix over the rationals.
+
+    With M the matrix turned to have no more rows than columns and rid
+    of its zero rows, this is the rank of the Gram matrix M M^T: over Q,
+    M M^T x = 0 gives |M^T x|^2 = 0, so both have the same kernel.  The
+    Gram matrix is formed in float64, through BLAS, while columns *
+    max|M|^2 < 2^53: every product and partial sum is then an integer
+    below 2^53, which float64 holds exactly.  Past that bound it is
+    formed over python ints.  Its rank is taken by fraction-free
+    elimination.
+    """
     mat = np.asarray(mat, dtype=np.int64)
     if mat.ndim != 2:
         raise ValueError("rank wants a 2-dimensional matrix")
-    return _kernels.integer_rank_kernel(mat)
+    if mat.shape[0] > mat.shape[1]:
+        mat = mat.T
+    mat = mat[mat.any(axis=1)]
+    # as python ints, since np.abs of the least int64 overflows
+    top = max(int(mat.max(initial=0)), -int(mat.min(initial=0)))
+    if mat.shape[1] * top * top < 1 << 53:
+        mat = mat.astype(np.float64)
+        gram = (mat @ mat.T).astype(np.int64)
+    else:
+        mat = mat.astype(object)
+        gram = mat @ mat.T
+    return _kernels.integer_rank_kernel(gram)
 
 
 def analytic_spread_rank(I):

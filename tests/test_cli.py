@@ -129,6 +129,15 @@ def test_sympow_oracle_deep_witness_search(capsys, tmp_path):
     assert out.splitlines() == ["x1^1200"]
 
 
+def test_gen_prints_an_exponent_near_the_limit(capsys, tmp_path):
+    # one factor text per exponent that occurs, not a table up to it
+    path = tmp_path / "q1.json"
+    path.write_text('{"n": 1, "covers": []}')
+    code, out, _ = run_cli(capsys, "gen", str(path), "x1^2147483646")
+    assert code == 0
+    assert out.splitlines() == ["x1^2147483646"]
+
+
 def test_sympow_oracle_past_the_cell_budget(capsys, tmp_path):
     # 2^30 + 2 divisors in one chain go to the walk, which steps only
     # to x1^(2^30) and the lcm instead of through every divisor
@@ -244,6 +253,13 @@ def test_exit_parse_errors(capsys, q3_path, tmp_path):
     bad.write_text('{"n": 2}')
     code, _, err = run_cli(capsys, "gen", str(bad), "x1")
     assert code == cli.EXIT_PARSE
+    # digits of other scripts, which int() and the regex \d read
+    code, out, err = run_cli(capsys, "gen", q3_path, "x\u0662")
+    assert (code, out, err) == (cli.EXIT_PARSE, "", "error: bad monomial term 'x\u0662'\n")
+    bad.write_text("\u0661\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "gen", str(bad), "x1")
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "error: line 1: expected the ground set size, got '\u0661'\n"
 
 
 @pytest.mark.parametrize("doc", [

@@ -254,10 +254,15 @@ def test_rank_known_values():
     assert integer_rank_kernel(M) == 2
 
 
-@pytest.mark.parametrize("r,n", [(2, 3), (12, 5), (40, 8)])
-def test_relation_adjacency_backends_agree(r, n):
+@pytest.mark.parametrize("r,n,shift", [
+    (2, 3, 0), (12, 5, 0), (40, 8, 0),
+    # every row has a child per column, so at least NARROW_SORT_ROWS
+    # children, and entries past 255 and 65535 for their sort keys
+    (_kernels.NARROW_SORT_ROWS, 6, (256, 65536, 0, 0, 0, 0)),
+], ids=["2-3", "12-5", "40-8", "narrow-keys"])
+def test_relation_adjacency_backends_agree(r, n, shift):
     # random rows mix degrees; repeated rows must add no edge of their own
-    rows = random_rows(r, n, high=3)
+    rows = random_rows(r, n, high=3) + np.array(shift)
     for gens in (rows, rng.permutation(np.concatenate([rows, rows[:r // 2 + 1]]))):
         a = _relation_adjacency_loops(gens, np.zeros((n, n), np.bool_))
         b = _kernels.relation_adjacency(gens, np.zeros((n, n), np.bool_))

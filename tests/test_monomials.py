@@ -18,10 +18,24 @@ from qborel import (
     support,
     variable_prime,
 )
+from qborel._kernels import NARROW_SORT_ROWS
+from qborel.monomials import _CODED_FORMAT_ROWS, canonical_order, format_rows
+
+rng = np.random.default_rng(20261019)
 
 
 def exponents(*rows):
     return np.array(rows, dtype=np.int64)
+
+
+def _format_monomial_loop(m):
+    # the per-monomial formatter that format_rows replaced, kept as the
+    # reference: one f-string per factor of every row
+    parts = [
+        f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+        for i, e in enumerate(np.asarray(m).tolist()) if e > 0
+    ]
+    return "*".join(parts) if parts else "1"
 
 
 def test_parse_and_format_round_trip():
@@ -34,7 +48,11 @@ def test_parse_and_format_round_trip():
     assert format_monomial(parse_monomial("x2*x2^2", 3)) == "x2^3"
 
 
-@pytest.mark.parametrize("bad", ["", "x0", "x12", "y3", "x4^", "x4**x5", "x-1"])
+@pytest.mark.parametrize("bad", [
+    "", "x0", "x12", "y3", "x4^", "x4**x5", "x-1",
+    # digits of other scripts and '_' between digits, which int() reads
+    "x\u0662", "x2^\u0663", "x\uff12", "x1_0", "x2^1_0",
+])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_monomial(bad, 11)
@@ -68,6 +86,21 @@ def test_canonical_order_is_degree_then_reverse_lex():
     assert I.generator_strings() == ["x1^2", "x1*x2", "x2^2", "x3^2"]
 
 
+@pytest.mark.parametrize("k", [NARROW_SORT_ROWS - 1, NARROW_SORT_ROWS, 3 * NARROW_SORT_ROWS])
+@pytest.mark.parametrize("top", [1, 255, 256, 65535, 65536, 2**31 - 1])
+def test_canonical_order_matches_the_int64_sort(k, top):
+    # the sort keys may be cast narrower; the order, ties included, is
+    # that of the int64 rows
+    rows = rng.integers(0, top, size=(k, 6), endpoint=True)
+    rows[rng.integers(0, k, size=k // 4)] = rows[0]
+    rows[1, 2] = top
+    want = np.lexsort(rows[:, ::-1].T)[::-1]
+    assert np.array_equal(canonical_order(rows), want)
+    degs = rows.sum(axis=1)
+    want = np.lexsort((*rows[:, ::-1].T, -degs))[::-1]
+    assert np.array_equal(canonical_order(rows, degs), want)
+
+
 def test_ideal_identity_and_hash():
     I = MonomialIdeal.from_strings(["x1", "x1*x2"], 2)
     J = MonomialIdeal.from_strings(["x1"], 2)
@@ -76,6 +109,22 @@ def test_ideal_identity_and_hash():
     assert len(I) == 1
     assert I != MonomialIdeal.from_strings(["x2"], 2)
     assert I != MonomialIdeal.from_strings(["x1"], 3)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, _CODED_FORMAT_ROWS - 1, _CODED_FORMAT_ROWS, 200])
+def test_format_rows_matches_the_loop(k):
+    # twelve variables, so x1 and x10 both occur; exponents 1, 2-9 and
+    # past 9, zero rows among them; row counts on both sides of the
+    # switch to the coded pass
+    rows = rng.choice([0, 0, 0, 1, 2, 9, 10, 11, 2**31 - 1], size=(k, 12))
+    rows[::5] = 0
+    want = [_format_monomial_loop(r) for r in rows]
+    assert format_rows(rows) == want
+    assert format_rows(rows.astype(np.int32)) == want
+    assert [format_monomial(r) for r in rows] == want
+    assert [format_monomial(r) for r in rows.tolist()] == want
+    # the monomial 1 in no variables
+    assert format_rows(np.zeros((k, 0), np.int64)) == ["1"] * k
 
 
 def test_zero_and_unit():
@@ -87,6 +136,7 @@ def test_zero_and_unit():
     assert U.contains(monomial([5, 0, 0]))
     assert not Z.contains(monomial([5, 0, 0]))
     assert "0" in repr(Z)
+    assert Z.generator_strings() == [] and U.generator_strings() == ["1"]
 
 
 def test_membership():

@@ -218,6 +218,8 @@ LINE_TEXT = "3\nx1 < x3\n"
 def test_parse_dispatch():
     assert parse_poset(JSON_TEXT) == parse_poset(LINE_TEXT)
     assert poset_from_text("  # comment\n2\n1 < 2\n").covers == {(1, 2)}
+    # signs and spaces read as int() reads them
+    assert poset_from_text(" +3 \n x1 <  +2\n").covers == {(1, 2)}
 
 
 def test_parse_trailing_comments():
@@ -233,6 +235,20 @@ def test_parse_errors():
                 '{"n": 3, "covers": [[1]]}', "x\n1 < 2", "2\n1 2", "2\n1 < 1"):
         with pytest.raises(ParseError):
             parse_poset(bad)
+
+
+@pytest.mark.parametrize("text,message", [
+    # int() reads the digits of other scripts and '_' between digits
+    ("\u0661\n", "line 1: expected the ground set size, got '\u0661'"),
+    ("1_2\n", "line 1: expected the ground set size, got '1_2'"),
+    ("12\n1_0 < 2\n", "line 2: expected a variable index, got '1_0'"),
+    ("3\nx\u0662 < x3\n", "line 2: expected a variable index, got '\u0662'"),
+    ("3\n1 < \uff13\n", "line 2: expected a variable index, got '\uff13'"),
+])
+def test_parse_reads_ascii_digits_only(text, message):
+    with pytest.raises(ParseError) as exc:
+        poset_from_text(text)
+    assert str(exc.value) == message
 
 
 def test_load_poset_files(data_dir, q11, q3, q6):

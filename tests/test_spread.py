@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from qborel import (
     spread_via_relation_graph,
 )
 from qborel import engine, monomials, spread, verify
+from qborel._kernels import integer_rank_kernel
+
+rng = np.random.default_rng(20261019)
 
 
 def test_integer_rank_basics():
@@ -29,13 +34,46 @@ def test_integer_rank_basics():
         integer_rank(np.array([1, 2, 3]))
 
 
-def test_integer_rank_needs_exact_arithmetic():
+def _spy_gram(monkeypatch):
+    # the dtype of every matrix handed to the elimination kernel
+    seen = []
+    real = spread._kernels.integer_rank_kernel
+
+    def spy(mat):
+        seen.append(mat.dtype)
+        return real(mat)
+
+    monkeypatch.setattr(spread._kernels, "integer_rank_kernel", spy)
+    return seen
+
+
+def test_integer_rank_needs_exact_arithmetic(monkeypatch):
     # a float path would lose this rank to rounding; Hilbert-like matrix
     # scaled to integers keeps full rank only under exact elimination
+    seen = _spy_gram(monkeypatch)
     n = 7
     M = np.array([[1 << (abs(i - j) * 8) for j in range(n)] for i in range(n)],
                  dtype=object)
     assert integer_rank(np.array(M, dtype=np.int64)) == n
+    assert seen == [np.dtype(object)]
+
+
+@pytest.mark.parametrize("shape", [(5, 30), (30, 5)])
+@pytest.mark.parametrize("past", [False, True])
+def test_integer_rank_matches_full_elimination(monkeypatch, shape, past):
+    # the Gram matrix of the longer side's 30 columns: in float64 while
+    # 30 * top^2 < 2^53, over python ints from there on
+    seen = _spy_gram(monkeypatch)
+    top = math.isqrt(((1 << 53) - 1) // 30) + past
+    assert (30 * top * top < 1 << 53) is not past
+    for copies in range(4):
+        M = rng.integers(-top, top, size=(5, 30), endpoint=True)
+        M[0, 0] = -top
+        # the last rows negate the first ones, which lowers the rank
+        M[5 - copies:] = -M[:copies]
+        M = M if shape == (5, 30) else M.T
+        assert integer_rank(M) == integer_rank_kernel(M)
+    assert set(seen) == {np.dtype(object) if past else np.dtype(np.int64)}
 
 
 def test_spread_rank(q11, m49, q3, m23):
