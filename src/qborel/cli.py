@@ -19,7 +19,7 @@ import sys
 from . import _kernels, engine, monomials, oracle, spectra, spread, verify
 from .errors import ParseError, TheoremViolation
 from .monomials import format_monomial, parse_monomial
-from .poset import load_poset
+from .poset import _integer, load_poset
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -181,11 +181,19 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
+def _int(text):
+    """An argparse type: an int of ASCII digits, as in poset files."""
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _int_from(low, what):
-    """An argparse type reading an int() of at least low."""
+    """An argparse type reading an int of ASCII digits, at least low."""
     def parse(text):
         try:
-            value = int(text)
+            value = _integer(text)
         except ValueError:
             value = low - 1
         if value < low:
@@ -220,10 +228,10 @@ def _build_parser():
     add("decompose", _decompose, "component decomposition")
 
     p = add("power", _power, "ordinary power of the closure ideal")
-    p.add_argument("-d", type=int, required=True, help="exponent, d >= 1")
+    p.add_argument("-d", type=_int, required=True, help="exponent, d >= 1")
 
     p = add("sympow", _sympow, "symbolic power of the closure ideal")
-    p.add_argument("-d", type=int, required=True, help="exponent, d >= 1")
+    p.add_argument("-d", type=_int, required=True, help="exponent, d >= 1")
     p.add_argument("--method", choices=("theorem", "oracle", "both"),
                    default="theorem")
 
@@ -238,7 +246,7 @@ def _build_parser():
     p.add_argument("target", help="target monomial")
 
     p = add("invariants", _invariants, "containment invariants")
-    p.add_argument("-d", type=int, default=3, help="largest power checked")
+    p.add_argument("-d", type=_int, default=3, help="largest power checked")
 
     p = sub.add_parser("verify", help="randomized identity checks")
     p.add_argument("--seed", type=_nonnegative_int, default=0)

@@ -6,9 +6,9 @@ can sit on the other side of an equality check from the closed forms.
 Associated primes come from colon witnesses in the box of divisors of
 the lcm of the generators.  Every associated prime has a top witness:
 one that sits at the lcm on every axis outside the prime.  A box of at
-most _GRID_CELLS cells is read as a staircase: the boolean membership
-grid of the ideal, on which one test per axis finds every top witness
-at once.  A larger box falls back to a depth-first walk that classifies
+most _GRID_CELLS cells is read as a staircase: the membership bitset
+of the ideal, on which one test per axis finds every top witness at
+once.  A larger box falls back to a depth-first walk that classifies
 the colon of each divisor outside the ideal whose exponents are 0, one
 below some generator's or the lcm's, so its cost follows the distinct
 exponents of the generators, not their size.  Both routes return the
@@ -23,11 +23,10 @@ import numpy as np
 from . import _kernels, monomials
 from .monomials import MonomialIdeal
 
-# Largest lcm box, in cells, that the staircase route builds.  It holds
-# about two bytes per cell: the membership grid and the witness mask.
-# Within it the grid has at most 22 axes, so a prime's axis mask fits
-# an int64.
-_GRID_CELLS = 1 << 22
+# Largest lcm box, in cells, that the staircase route builds: 16.8M.
+# Its peak is the byte per cell that marks the generators, and later the
+# one that lists the witnesses; the bitsets take a few bits per cell.
+_GRID_CELLS = 1 << 24
 
 
 def _maximal_sets(sets):
@@ -65,36 +64,67 @@ def associated_primes_bruteforce(I, return_witnesses=False):
 
 
 def _staircase_witnesses(gens, bound):
-    """Every prime and its lex-least top witness from the membership grid.
+    """Every prime and its lex-least top witness from the membership bitset.
 
     A cell f outside I whose every axis below the top steps into I is a
     top witness of the prime on those axes: x_c lies in I : x^f for each
     such c, and a monomial in none of them raises f only on axes already
     at the lcm, so its product with x^f stays outside I.  The all-top
     cell is the lcm, which lies in I, so that prime is never empty.
+    Each mask is one python int whose bit i is cell i of the box in C
+    order, which is lex order.
     """
-    axes = np.flatnonzero(bound)
-    top = bound[axes]
-    # variables no generator uses never join a prime and are left out,
-    # which keeps the grid within numpy's dimension limit
-    inside = np.zeros(tuple((top + 1).tolist()), np.bool_)
-    inside[tuple(gens[:, axes].T)] = True
-    for a in range(axes.size):
-        np.logical_or.accumulate(inside, axis=a, out=inside)
-    ok = ~inside
-    for a in range(axes.size):
-        lead = (slice(None),) * a
-        ok[lead + (slice(None, -1),)] &= inside[lead + (slice(1, None),)]
-    # C order is lex order, so the first cell of each prime is its least
-    cells = np.stack(np.unravel_index(np.flatnonzero(ok), ok.shape), axis=1)
-    below = cells < top
-    _, first = np.unique(below @ (1 << np.arange(axes.size)), return_index=True)
+    # C-order strides; a variable no generator uses scales only zeros
+    bound = bound.tolist()
+    stride, cells = [], 1
+    for t in reversed(bound):
+        stride.append(cells)
+        cells *= t + 1
+    stride.reverse()
+    plan = [(c, stride[c], t) for c, t in enumerate(bound) if t]
+    grid = np.zeros(cells, np.uint8)
+    grid[gens @ np.array(stride)] = 1
+    inside = int.from_bytes(np.packbits(grid, bitorder="little"), "little")
+    del grid
+    # fill upward along each axis by shifts of 1, 2, 4, ...: keep limits
+    # the shift by d to the cells at least d up the axis, and after it
+    # each cell holds every cell less than 2d below it
+    for _, s, t in plan:
+        period = s * (t + 1)
+        d = 1
+        while d <= t:
+            keep = _tile((1 << period) - (1 << d * s), period, cells // period)
+            inside |= (inside << d * s) & keep
+            d *= 2
+    # cells outside I from which each step up that stays in the box enters I
+    ok = ((1 << cells) - 1) ^ inside
+    for _, s, t in plan:
+        period = s * (t + 1)
+        ok &= (inside >> s) | _tile(((1 << s) - 1) << t * s, period, cells // period)
+    del inside
+    bits = np.unpackbits(np.frombuffer(ok.to_bytes(-(-cells // 8), "little"), np.uint8),
+                         bitorder="little")
+    # ascending cells are in lex order, so each prime's first is its least
     found = {}
-    for i in first.tolist():
-        f = np.zeros(bound.size, np.int64)
-        f[axes] = cells[i]
-        found[frozenset((axes[below[i]] + 1).tolist())] = f.tolist()
+    for i in bits.nonzero()[0].tolist():
+        f = [0] * len(bound)
+        for c, s, _ in plan:
+            f[c], i = divmod(i, s)
+        found.setdefault(frozenset(c + 1 for c, _, t in plan if f[c] < t), f)
     return found
+
+
+def _tile(pattern, period, count):
+    """count copies of a period-bit pattern side by side, by doubling shifts."""
+    out = done = 0
+    # the bits of count, highest first: double the copies, then add one
+    for bit in bin(count)[2:]:
+        out |= out << done * period
+        done *= 2
+        if bit == "1":
+            out = out << period | pattern
+            done += 1
+    return out
 
 
 def _walk_witnesses(gens, bound):

@@ -120,7 +120,7 @@ def test_sympow_both_detects_mismatch(capsys, q3_path, monkeypatch):
 
 def test_sympow_oracle_deep_witness_search(capsys, tmp_path):
     # 1201 divisors in one chain, within the cell budget: the staircase
-    # route reads them as one grid axis
+    # route reads them as one axis of its bitset
     path = tmp_path / "q1.json"
     path.write_text('{"n": 1, "covers": []}')
     code, out, _ = run_cli(capsys, "sympow", str(path), "x1^1200",
@@ -277,7 +277,7 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, doc):
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--max-n", "--max-deg"])
-@pytest.mark.parametrize("value", ["0", "-3", "two"])
+@pytest.mark.parametrize("value", ["0", "-3", "two", "1_0", "0_2", "\u0662"])
 def test_verify_counts_must_be_positive(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", flag, value])
@@ -306,7 +306,7 @@ def test_verify_takes_a_large_seed(capsys):
     assert rest == ["symbolic-powers: 2/2"]
 
 
-@pytest.mark.parametrize("value", ["+2", " 2", "0_2"])
+@pytest.mark.parametrize("value", ["+2", " 2", "2 "])
 def test_verify_counts_read_as_int_reads_them(capsys, value):
     code, out, _ = run_cli(capsys, "verify", "--trials", value, "--max-n", value,
                            "--max-deg", value, "--properties", "symbolic-powers")
@@ -314,6 +314,24 @@ def test_verify_counts_read_as_int_reads_them(capsys, value):
     head, *rest = out.splitlines()
     assert head.startswith("seed=0 trials=2 max-n=2 max-deg=2 backend=")
     assert rest == ["symbolic-powers: 2/2"]
+
+
+@pytest.mark.parametrize("command", ["power", "sympow", "invariants"])
+@pytest.mark.parametrize("value", ["\u0662", "1_0", "two"])
+def test_exponent_takes_ascii_digits_only(capsys, q3_path, command, value):
+    # int() would read ARABIC-INDIC DIGIT TWO as 2 and 1_0 as 10
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, q3_path, "x2", "-d", value])
+    err = capsys.readouterr().err
+    assert exc.value.code == cli.EXIT_PARSE
+    assert f"argument -d: invalid int value: '{value}'" in err
+
+
+@pytest.mark.parametrize("value", ["2", "+2", " 2 "])
+def test_exponent_reads_signed_spaced_ascii(capsys, q3_path, value):
+    code, out, _ = run_cli(capsys, "power", q3_path, "x2", "-d", value)
+    assert code == cli.EXIT_OK
+    assert out.splitlines() == ["x2^2"]
 
 
 def test_deeply_nested_json_exits_2(capsys, tmp_path):

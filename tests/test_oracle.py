@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qborel import (
     format_monomial,
     generate_principal,
     intersect_contractions,
+    parse_monomial,
     power,
     powers,
     symbolic_power_bruteforce,
@@ -13,6 +16,8 @@ from qborel import (
 )
 from qborel import _kernels, oracle
 from qborel.oracle import associated_primes_bruteforce
+from test_poset import _peak_bytes
+from test_properties import _top_witnesses_by_colons
 
 
 def primes(*sets):
@@ -104,6 +109,90 @@ def test_walk_steps_over_unused_exponents(monkeypatch, count_calls):
     assert found == primes({1})
     assert witnesses[frozenset({1})].tolist() == [65535]
     assert calls["colon_class"] <= 3
+
+
+def _by_route(route, I):
+    gens = np.ascontiguousarray(I.gens)
+    found = route(gens, gens.max(axis=0))
+    return frozenset(found), sorted(found.items(), key=lambda item: item[1])
+
+
+def _grid_witnesses(gens, bound):
+    # the staircase test on a numpy boolean grid with one axis per used
+    # variable, a reference for the bit layout of the staircase route
+    axes = np.flatnonzero(bound).tolist()
+    inside = np.zeros(tuple(bound[axes] + 1), np.bool_)
+    inside[tuple(gens[:, axes].T)] = True
+    for a in range(len(axes)):
+        np.logical_or.accumulate(inside, axis=a, out=inside)
+    ok = ~inside
+    for a in range(len(axes)):
+        lead = (slice(None),) * a
+        ok[lead + (slice(None, -1),)] &= inside[lead + (slice(1, None),)]
+    found = {}
+    for cell in np.argwhere(ok).tolist():
+        f = np.zeros(bound.size, np.int64)
+        f[axes] = cell
+        found.setdefault(frozenset(c + 1 for c in axes if f[c] < bound[c]), f.tolist())
+    return found
+
+
+TOPS = (1, 2, 3, 4, 7, 8)
+EDGE_CASES = {
+    **{f"one axis, top {t}": ([f"x1^{t}"], 1) for t in TOPS},
+    # the doubling fill on x3 ends on and off a power of two, and only
+    # the fill from x1 reaches x1*x3^t
+    **{f"three axes, top {t}": (["x1", f"x2*x3^{t}", f"x2^2*x3^{t // 2}"], 3)
+       for t in TOPS},
+    "unused variables between used ones": (["x2*x4^2", "x4*x6^3", "x2^2*x6"], 7),
+    # a minimal generator at the lcm is the only one
+    "a generator at the lcm corner": (["x1^2*x2^3*x4"], 4),
+    "embedded primes": (["x1^3", "x1^2*x2", "x1*x2^2*x3"], 3),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_bitset_edge_cases_match_the_walk_and_every_colon(case):
+    gens, n = EDGE_CASES[case]
+    I = MonomialIdeal.from_strings(gens, n)
+    want = _top_witnesses_by_colons(I)
+    assert _by_route(oracle._staircase_witnesses, I) == want
+    assert _by_route(oracle._walk_witnesses, I) == want
+    assert _by_route(_grid_witnesses, I) == want
+
+
+def test_bitset_matches_the_grid_on_142_primes():
+    # 1,679,616 cells on 8 axes; the walk takes tens of seconds here, so the
+    # boolean grid is the reference, and each witness is checked by its colon
+    I = MonomialIdeal(np.random.default_rng(5).integers(0, 6, (500, 8)), 8)
+    found = _by_route(oracle._staircase_witnesses, I)
+    assert found == _by_route(_grid_witnesses, I)
+    assert len(found[0]) == 142
+    lcm = I.gens.max(axis=0)
+    for prime, f in found[1]:
+        quotients = np.clip(I.gens - np.array(f), 0, None)
+        assert MonomialIdeal(quotients, 8) == variable_prime(prime, 8)
+        assert all(f[c] == lcm[c] for c in range(8) if c + 1 not in prime)
+
+
+def _no_walk(gens, bound):
+    raise AssertionError("the walk took a box within the cell budget")
+
+
+def test_cube_closure_on_q11_takes_the_staircase(monkeypatch, q11):
+    monkeypatch.setattr(oracle, "_walk_witnesses", _no_walk)
+    I = generate_principal(q11, parse_monomial("x2^3*x5^3*x11^3", q11.n))
+    assert math.prod(int(b) + 1 for b in I.gens.max(axis=0)) == 12_845_056
+    assert associated_primes_bruteforce(I) == primes({1, 2}, range(1, 6), range(6, 12))
+
+
+def test_staircase_peaks_near_a_byte_per_cell(monkeypatch):
+    # the byte grid that marks the generators is the largest buffer: one
+    # byte per cell, so 4.2 MB at 2^22 cells and 16.8 MB at 2^24
+    monkeypatch.setattr(oracle, "_walk_witnesses", _no_walk)
+    for n, limit in ((22, 8.4e6), (24, 32e6)):
+        I = MonomialIdeal(np.eye(n, dtype=np.int64), n)
+        assert _peak_bytes(lambda: associated_primes_bruteforce(I)) < limit
 
 
 def test_symbolic_bruteforce_principal():

@@ -250,6 +250,19 @@ def test_witnesses_match_every_colon_of_the_box(I):
         assert _primes_and_witnesses(I) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(ideals(max_n=3, max_exp=8))
+def test_deep_axes_match_every_colon_of_the_box(I):
+    # tops up to 8, where the staircase's doubling fill takes up to four
+    # shifts per axis, in boxes of at most 9^3 = 729 cells
+    assume(not I.is_unit())
+    want = _top_witnesses_by_colons(I)
+    assert _primes_and_witnesses(I) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_GRID_CELLS", 0)
+        assert _primes_and_witnesses(I) == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(ideals(), st.data())
 def test_contraction_is_the_ideal_iff_nothing_is_zeroed(I, data):
