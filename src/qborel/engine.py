@@ -8,9 +8,11 @@ has no variable that both sends and receives, so each of its moves
 raises r, and so every orbit member but m has a parent one layer up.
 A membership certificate is such a plan and needs no orbit.
 
-Every row has degree deg m, so the layers are deduped on their columns
-alone, and the ideal sorts the walk's narrow rows once the same way,
-with no int64 re-sort and no minimalization.
+The walk holds its narrow rows padded with zero columns to whole 8-byte
+words, and dedups each layer on those words: equal words mean equal
+rows, so a layer's order does not matter.  Every row has degree deg m,
+so the ideal sorts the union once on its columns alone into canonical
+order, with no int64 re-sort and no minimalization.
 """
 
 from collections import deque
@@ -67,6 +69,18 @@ def closure_monomial(poset, m):
     return m
 
 
+def _distinct_words(rows):
+    """The distinct rows of an array padded to whole 8-byte words.
+
+    One sort over the words puts each repeat right after the row it
+    repeats; the rows come back in no particular order.
+    """
+    words = rows.view(np.uint64)
+    order = np.lexsort(words.T)
+    fresh = monomials._firsts(words.take(order, axis=0))
+    return rows.take(order.compress(fresh), axis=0)
+
+
 def _orbit_rows(poset, m, squarefree_only=False):
     # every reachable monomial has deg(m), so the orbit is finite and
     # already a minimal generating set.  The walk goes by transport
@@ -78,18 +92,27 @@ def _orbit_rows(poset, m, squarefree_only=False):
     # square-free mode every step stays square-free.  So each row at
     # distance r + 1 has a parent at distance r, no row reappears in a
     # later layer, and one dedup per nonempty layer past m suffices: at
-    # most deg m.  Rows all have degree deg m, so they sort on their
-    # columns alone.  Rows, and m with them so that comparisons need no
+    # most deg m.  Rows, and m with them so that comparisons need no
     # upcast, are held in the narrowest signed type that holds
-    # -1 - deg m, and so deg m; numpy sorts it by radix, and it shrinks
-    # the children of a layer.  Move k, step row +1 at dst[k] and -1 at
-    # src[k], sends a unit down from x_src dividing m to x_dst below it
+    # -1 - deg m, and so deg m, which shrinks the children of a layer.
+    # They are padded with zero columns, which no move touches, to whole
+    # 8-byte words, and each layer is deduped on its words.  Move k,
+    # step row +1 at dst[k] and -1 at src[k], sends a unit down from
+    # x_src dividing m to x_dst below it
     moves = np.array([(j - 1, i - 1) for i in monomials.support(m)
                       for j in poset.down_closure({i}) if j != i],
                      dtype=np.intp).reshape(-1, 2)
+    if not len(moves):
+        # m's support sits on minimal elements: the orbit is m alone
+        return m[None, :]
     dst, src = moves.T
-    m = m.astype(np.min_scalar_type(-1 - int(m.sum())))
-    step = np.zeros((len(moves), poset.n), dtype=m.dtype)
+    n = poset.n
+    dtype = np.min_scalar_type(-1 - int(m.sum()))
+    width = -(-n * dtype.itemsize // 8) * 8 // dtype.itemsize
+    padded = np.zeros(width, dtype)
+    padded[:n] = m
+    m = padded
+    step = np.zeros((len(moves), width), dtype=dtype)
     step[np.arange(len(moves))[:, None], moves] = 1, -1
     layer = m[None, :]
     layers = []
@@ -98,10 +121,11 @@ def _orbit_rows(poset, m, squarefree_only=False):
         take = layer >= m
         if squarefree_only:
             take &= layer == 0
-        r, c = (((layer > 0) & (layer <= m))[:, src] & take[:, dst]).nonzero()
+        sends = (layer > 0) & (layer <= m)
+        r, c = (sends.take(src, axis=1) & take.take(dst, axis=1)).nonzero()
         if not r.size:
-            return np.concatenate(layers)
-        layer = monomials.canonical_rows(layer[r] + step[c])
+            return np.concatenate(layers)[:, :n]
+        layer = _distinct_words(layer.take(r, axis=0) + step.take(c, axis=0))
 
 
 def generate_principal(poset, m):

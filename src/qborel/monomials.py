@@ -6,6 +6,7 @@ in every public interface, so x4*x9^2 in 11 variables is the vector
 with entries 1 and 2 at positions 4 and 9.
 """
 
+import functools
 import re
 
 import numpy as np
@@ -125,7 +126,7 @@ def degree(m):
 
 def support(m):
     """Indices of the variables dividing m, 1-indexed."""
-    return frozenset(i + 1 for i in np.flatnonzero(m).tolist())
+    return frozenset(i + 1 for i in np.asarray(m).nonzero()[0].tolist())
 
 
 def is_squarefree(m):
@@ -186,8 +187,21 @@ def canonical_rows(rows):
     """
     if rows.shape[0] <= 1:
         return rows
-    rows = rows[canonical_order(rows)]
-    return rows[_firsts(rows)]
+    rows = rows.take(canonical_order(rows), axis=0)
+    return rows.compress(_firsts(rows), axis=0)
+
+
+@functools.lru_cache(maxsize=16)
+def _ones(n):
+    """A read-only int64 vector of n ones.
+
+    rows @ _ones(n) sums each row exactly, faster than a sum along the
+    short axis; making the vector costs as much as the product on a few
+    rows, so it is cached.
+    """
+    ones = np.ones(n, np.int64)
+    ones.flags.writeable = False
+    return ones
 
 
 def _minimal_rows(rows):
@@ -198,14 +212,14 @@ def _minimal_rows(rows):
     """
     if rows.shape[0] <= 1:
         return rows
-    degs = rows.sum(axis=1)
+    degs = rows @ _ones(rows.shape[1])
     if degs.min() == degs.max():
         return canonical_rows(rows)
     order = canonical_order(rows, degs)
-    rows, degs = rows[order], degs[order]
+    rows, degs = rows.take(order, axis=0), degs.take(order)
     fresh = _firsts(rows)
-    rows, degs = rows[fresh], degs[fresh]
-    return rows[_kernels.minimalize_keep(rows, degs)]
+    rows, degs = rows.compress(fresh, axis=0), degs.compress(fresh)
+    return rows.compress(_kernels.minimalize_keep(rows, degs), axis=0)
 
 
 class MonomialIdeal:
@@ -227,7 +241,9 @@ class MonomialIdeal:
             # own minimal generator, so they are only sorted, in the
             # narrow type they may come in.  No exponent exceeds the
             # degree, so only a degree of 2^31 or more is checked
-            rows = gens[canonical_order(gens)].astype(np.int64)
+            if len(gens) > 1:
+                gens = gens.take(canonical_order(gens), axis=0)
+            rows = gens.astype(np.int64)
             if rows.size and int(rows[0].sum()) >= _EXPONENT_LIMIT:
                 _check_range(rows)
         else:
@@ -288,7 +304,7 @@ class MonomialIdeal:
         return self.gens.shape[0] == 1 and degree(self.gens[0]) == 0
 
     def degrees(self):
-        return self.gens.sum(axis=1)
+        return self.gens @ _ones(self.nvars)
 
     def is_equigenerated(self):
         degs = self.degrees()

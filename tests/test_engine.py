@@ -20,6 +20,7 @@ from qborel import (
 )
 import qborel
 from qborel import engine, monomials
+from test_poset import _peak_bytes
 
 # the twelve generators of the closure of x4*x9^2 on the 11-element poset
 Q11_GENS = {
@@ -124,6 +125,19 @@ def test_chain_closures():
     assert sf.generator_strings() == ["x1*x2", "x1*x3", "x2*x3"]
 
 
+def _spy_dedups(monkeypatch):
+    # record the dtype of every layer the walk dedups
+    seen = []
+    real = engine._distinct_words
+
+    def spy(rows):
+        seen.append(rows.dtype)
+        return real(rows)
+
+    monkeypatch.setattr(engine, "_distinct_words", spy)
+    return seen
+
+
 def _spy_sorts(monkeypatch):
     # record the dtype of every canonical sort and whether it sorts on
     # the columns alone, as for rows of one degree
@@ -140,20 +154,22 @@ def _spy_sorts(monkeypatch):
 
 def test_orbit_sorts_one_layer_per_unit_moved(monkeypatch):
     # the walk dedups one layer per unit of transport distance from m,
-    # so at most deg m times, on the columns alone, and hands back its
-    # distinct rows in the narrow type it holds them in
-    seen = _spy_sorts(monkeypatch)
+    # so at most deg m times, on the words of its narrow rows and never
+    # in canonical order, and hands back its distinct rows in the
+    # narrow type it holds them in
+    dedups = _spy_dedups(monkeypatch)
+    sorts = _spy_sorts(monkeypatch)
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
     rows = engine._orbit_rows(chain, parse_monomial("x8^4", 8))
     assert rows.shape == (330, 8) and rows.dtype == np.int8
     assert np.unique(rows, axis=0).shape == rows.shape
-    assert seen == [(np.int8, True)] * 4
+    assert dedups == [np.int8] * 4 and sorts == []
 
 
 def test_closure_is_sorted_once_and_not_minimalized(monkeypatch):
     # the walk's rows are distinct and of one degree, so the ideal sorts
-    # them once more in their narrow type and keeps them all: equal to
-    # what the full constructor makes of them, int64 and read-only
+    # them once in their narrow type and keeps them all: equal to what
+    # the full constructor makes of them, int64 and read-only
     seen = _spy_sorts(monkeypatch)
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
     m = parse_monomial("x8^4", 8)
@@ -166,11 +182,36 @@ def test_closure_is_sorted_once_and_not_minimalized(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(monomials, "_minimal_rows", minimal_rows)
         I = generate_principal(chain, m)
-        assert seen == [(np.int8, True)] * 5
+        assert seen == [(np.int8, True)]
         sf = generate_sf_principal(chain, parse_monomial("x2*x5*x8", 8))
     assert I == MonomialIdeal(rows, 8) == MonomialIdeal(rows[::-1], 8)
     assert I.gens.dtype == np.int64 and not I.gens.flags.writeable
     assert sf.generator_strings()[0] == "x1*x2*x3" and len(sf) == 30
+
+
+def test_orbit_on_minimal_elements_is_the_monomial(monkeypatch, q11):
+    # x1, x3, x6 and x7 have nothing below them, so no move applies:
+    # the walk hands back m itself and dedups nothing
+    def no_dedup(rows):
+        raise AssertionError("a move-free orbit was deduped")
+
+    monkeypatch.setattr(engine, "_distinct_words", no_dedup)
+    m = parse_monomial("x1^2*x3*x6", 11)
+    rows = engine._orbit_rows(q11, m)
+    assert rows.shape == (1, 11) and np.array_equal(rows[0], m)
+    assert generate_principal(q11, m).generator_strings() == ["x1^2*x3*x6"]
+    sf = generate_sf_principal(q11, parse_monomial("x1*x3*x7", 11))
+    assert sf.generator_strings() == ["x1*x3*x7"]
+    both = generate_from_set(q11, [m, parse_monomial("x7^4", 11)])
+    assert both.generator_strings() == ["x1^2*x3*x6", "x7^4"]
+
+
+def test_orbit_walk_memory_is_bounded():
+    # x8^10 on an 8-chain has 19,448 rows, 156 kB at one byte a cell; the
+    # walk's peak, layers and children included, was measured at 1.65 MB
+    chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
+    m = parse_monomial("x8^10", 8)
+    assert _peak_bytes(lambda: engine._orbit_rows(chain, m)) < 2.5e6
 
 
 def test_closure_past_the_range_overflows(monkeypatch):

@@ -10,9 +10,9 @@ from test_spectra import associated_primes_all_divisors
 
 
 @st.composite
-def instances(draw, max_n=5, max_deg=3):
+def instances(draw, max_n=5, max_deg=3, min_n=1):
     """A poset labeled along a linear extension plus a monomial on it."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     rels = [
         (j, i)
         for j in range(1, n + 1)
@@ -144,11 +144,39 @@ def test_level_walk_matches_the_bfs(inst, squarefree_only, data):
     poset = Poset(poset.n, [(perm[j - 1] + 1, perm[i - 1] + 1)
                             for j, i in poset.covers])
     m = m[np.argsort(perm)]
+    _walk_matches_the_bfs(poset, m, squarefree_only)
+
+
+def _walk_matches_the_bfs(poset, m, squarefree_only):
     rows = engine._orbit_rows(poset, m, squarefree_only)
+    assert rows.shape[1] == poset.n
     walk = monomials.canonical_rows(rows)
     assert walk.shape == rows.shape
     assert np.array_equal(walk, monomials.canonical_rows(
         orbit_rows_bfs(poset, m, squarefree_only)))
+    return rows
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+@settings(max_examples=15, deadline=None)
+@given(st.data(), st.booleans())
+def test_walk_on_several_words_matches_the_bfs(n, data, squarefree_only):
+    # int8 rows of 8 columns fill one 8-byte word; 9, 16 and 17 columns
+    # are padded to two, two and three, and the dedup must tell rows
+    # apart on any of their words
+    poset, m = data.draw(instances(min_n=n, max_n=n, max_deg=4))
+    _walk_matches_the_bfs(poset, m, squarefree_only)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("d", [128, 256])
+def test_int16_walk_matches_the_bfs(n, d):
+    # deg m of 128 or more holds rows in int16, four columns a word: 3
+    # columns pad to one word, 5 to two, with x5 alone in the second
+    poset = Poset(n, [(1, 2), (1, 3)] if n == 3 else [(1, 2), (3, 4), (4, 5)])
+    m = np.zeros(n, np.int64)
+    m[[1, n - 1]] = d - 2, 2
+    assert _walk_matches_the_bfs(poset, m, False).dtype == np.int16
 
 
 @settings(max_examples=200, deadline=None)
