@@ -54,7 +54,8 @@ def divides_any(gens, queries):
     step = max(1, _CHUNK_CELLS // gens.shape[0])
     for s in range(0, q, step):
         cand = queries[s:s + step]
-        out[s:s + cand.shape[0]] = (gens[None, :, :] <= cand[:, None, :]).all(2).any(1)
+        out[s:s + cand.shape[0]] = np.logical_or.reduce(
+            np.logical_and.reduce(gens[None, :, :] <= cand[:, None, :], axis=2), axis=1)
     return out
 
 

@@ -9,10 +9,14 @@ raises r, and so every orbit member but m has a parent one layer up.
 A membership certificate is such a plan and needs no orbit.
 
 The walk holds its narrow rows padded with zero columns to whole 8-byte
-words, and dedups each layer on those words: equal words mean equal
-rows, so a layer's order does not matter.  Every row has degree deg m,
-so the ideal sorts the union once on its columns alone into canonical
-order, with no int64 re-sort and no minimalization.
+words.  A small layer holds each row as the python int of those bytes:
+a move adds one constant, and a set dedups the layer.  From the first
+layer with _INT_LAYER_CANDIDATES candidate children on, the rows turn
+into one numpy array, and each further layer is deduped by one sort
+over its words: equal words mean equal rows, so a layer's order does
+not matter.  Every row has degree deg m, so the ideal sorts the union
+once on its columns alone into canonical order, with no int64 re-sort
+and no minimalization.
 """
 
 from collections import deque
@@ -64,7 +68,7 @@ def ambient_monomial(poset, m):
 def closure_monomial(poset, m):
     """Validate a monomial whose closure on the poset is asked for."""
     m = ambient_monomial(poset, m)
-    if monomials.degree(m) == 0:
+    if not np.count_nonzero(m):
         raise ValueError("the closure of the monomial 1 is not defined")
     return m
 
@@ -79,6 +83,19 @@ def _distinct_words(rows):
     order = np.lexsort(words.T)
     fresh = monomials._firsts(words.take(order, axis=0))
     return rows.take(order.compress(fresh), axis=0)
+
+
+# Below this many candidate children in a layer (rows times moves) the
+# walk steps each row as one python int; from it on, as padded numpy
+# rows.  The ints skip numpy's per-call cost, which dominates small
+# layers, and lose to the arrays per child.  Over the 1,300 walks of a
+# seed-0 oracle-trials cycle (2 vCPUs, in-process, best of 15) all on
+# arrays take 51.6 ms, with the hand-over at 96 to 128 candidates 30-32
+# ms and at 192 28 ms.  All on ints, x8^4 on an 8-chain slows from 0.22
+# to 0.45 ms and x8^10 from 5.6 to 41 ms; from 256 on, x8^3 and x8^4
+# slow by a fifth.  96 keeps clear of that, and 271 of those walks
+# still reach the arrays.
+_INT_LAYER_CANDIDATES = 96
 
 
 def _orbit_rows(poset, m, squarefree_only=False):
@@ -96,28 +113,55 @@ def _orbit_rows(poset, m, squarefree_only=False):
     # upcast, are held in the narrowest signed type that holds
     # -1 - deg m, and so deg m, which shrinks the children of a layer.
     # They are padded with zero columns, which no move touches, to whole
-    # 8-byte words, and each layer is deduped on its words.  Move k,
-    # step row +1 at dst[k] and -1 at src[k], sends a unit down from
-    # x_src dividing m to x_dst below it
-    moves = np.array([(j - 1, i - 1) for i in monomials.support(m)
-                      for j in poset.down_closure({i}) if j != i],
-                     dtype=np.intp).reshape(-1, 2)
-    if not len(moves):
+    # 8-byte words.  Move k, step row +1 at dst[k] and -1 at src[k],
+    # sends a unit down from x_src dividing m to x_dst below it
+    mm = m.tolist()
+    moves = [(j - 1, i - 1) for i, e in enumerate(mm, 1) if e
+             for j in poset.down_closure({i}) if j != i]
+    if not moves:
         # m's support sits on minimal elements: the orbit is m alone
         return m[None, :]
-    dst, src = moves.T
     n = poset.n
-    dtype = np.min_scalar_type(-1 - int(m.sum()))
+    dtype = np.min_scalar_type(-1 - sum(mm))
     width = -(-n * dtype.itemsize // 8) * 8 // dtype.itemsize
-    padded = np.zeros(width, dtype)
-    padded[:n] = m
-    m = padded
+    nbytes = width * dtype.itemsize
+    # small layers: a row is the int of its padded little-endian bytes,
+    # column c the field of b bits at b * c.  Every exponent is at most
+    # deg m < 2^(b - 1) and u_s >= 1, so a move adds one constant with
+    # no carry or borrow across fields, and a set dedups the layer
+    b = 8 * dtype.itemsize
+    field = (1 << b) - 1
+    cap = 0 if squarefree_only else field
+    senders = {}
+    for t, s in moves:
+        senders.setdefault(s, []).append((b * t, mm[t], (1 << b * t) - (1 << b * s)))
+    senders = [(b * s, mm[s], targets) for s, targets in senders.items()]
+    u = sum(e << b * c for c, e in enumerate(mm))
+    walked, layer = [u], [u]
+    while layer and len(layer) * len(moves) < _INT_LAYER_CANDIDATES:
+        children = set()
+        for u in layer:
+            for bs, top, targets in senders:
+                if 0 < (u >> bs & field) <= top:
+                    for bt, low, step in targets:
+                        if low <= (u >> bt & field) <= cap:
+                            children.add(u + step)
+        walked += children
+        layer = children
+    rows = np.frombuffer(b"".join([u.to_bytes(nbytes, "little") for u in walked]),
+                         dtype).reshape(-1, width)
+    if not layer:
+        return rows[:, :n]
+    # larger layers: the rows walked so far, m first and the last layer
+    # at their end, continue as padded arrays, each deduped on its words
+    m = rows[0]
+    moves = np.array(moves, dtype=np.intp)
+    dst, src = moves.T
     step = np.zeros((len(moves), width), dtype=dtype)
     step[np.arange(len(moves))[:, None], moves] = 1, -1
-    layer = m[None, :]
-    layers = []
+    layers = [rows]
+    layer = rows[len(rows) - len(layer):]
     while True:
-        layers.append(layer)
         take = layer >= m
         if squarefree_only:
             take &= layer == 0
@@ -126,6 +170,7 @@ def _orbit_rows(poset, m, squarefree_only=False):
         if not r.size:
             return np.concatenate(layers)[:, :n]
         layer = _distinct_words(layer.take(r, axis=0) + step.take(c, axis=0))
+        layers.append(layer)
 
 
 def generate_principal(poset, m):

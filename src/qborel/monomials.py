@@ -21,11 +21,18 @@ _TERM_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
 
 def _check_range(arr):
-    """Refuse a negative exponent, then one past the supported range."""
+    """Refuse a negative exponent, then one past the supported range.
+
+    One reduction decides both: the bitwise or of the entries is
+    negative iff some entry is, and otherwise reaches the power of two
+    _EXPONENT_LIMIT iff some entry does.  It holds for the python ints
+    of an object array too.
+    """
     if arr.size:
-        if arr.min() < 0:
+        bits = np.bitwise_or.reduce(arr, axis=None)
+        if bits < 0:
             raise ValueError("exponents must be nonnegative")
-        if arr.max() >= _EXPONENT_LIMIT:
+        if bits >= _EXPONENT_LIMIT:
             raise OverflowError("exponent exceeds the supported range")
 
 
@@ -175,7 +182,7 @@ def _firsts(rows):
     """Mask of the rows that differ from the row before them."""
     fresh = np.empty(rows.shape[0], np.bool_)
     fresh[0] = True
-    (rows[1:] != rows[:-1]).any(axis=1, out=fresh[1:])
+    np.logical_or.reduce(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
     return fresh
 
 
@@ -213,7 +220,7 @@ def _minimal_rows(rows):
     if rows.shape[0] <= 1:
         return rows
     degs = rows @ _ones(rows.shape[1])
-    if degs.min() == degs.max():
+    if not np.count_nonzero(degs != degs[0]):
         return canonical_rows(rows)
     order = canonical_order(rows, degs)
     rows, degs = rows.take(order, axis=0), degs.take(order)
@@ -244,7 +251,7 @@ class MonomialIdeal:
             if len(gens) > 1:
                 gens = gens.take(canonical_order(gens), axis=0)
             rows = gens.astype(np.int64)
-            if rows.size and int(rows[0].sum()) >= _EXPONENT_LIMIT:
+            if rows.size and int(np.add.reduce(rows[0])) >= _EXPONENT_LIMIT:
                 _check_range(rows)
         else:
             rows = np.asarray(gens, dtype=np.int64)
@@ -283,7 +290,7 @@ class MonomialIdeal:
         return (isinstance(other, MonomialIdeal)
                 and self.nvars == other.nvars
                 and self.gens.shape == other.gens.shape
-                and bool((self.gens == other.gens).all()))
+                and not np.count_nonzero(self.gens != other.gens))
 
     def __hash__(self):
         return hash((self.nvars, self.gens.shape, bytes(self.gens.data)))
@@ -301,7 +308,7 @@ class MonomialIdeal:
         return self.gens.shape[0] == 0
 
     def is_unit(self):
-        return self.gens.shape[0] == 1 and degree(self.gens[0]) == 0
+        return self.gens.shape[0] == 1 and not np.count_nonzero(self.gens)
 
     def degrees(self):
         return self.gens @ _ones(self.nvars)
@@ -386,7 +393,7 @@ def localize_contract(I, members):
     members = frozenset(members)
     _positions(members, I.nvars)
     drop = [i for i in range(I.nvars) if (i + 1) not in members]
-    if not I.gens[:, drop].any():
+    if not np.count_nonzero(I.gens.take(drop, axis=1)):
         return I
     rows = I.gens.copy()
     rows[:, drop] = 0
@@ -405,4 +412,4 @@ def alpha(I):
     """Least degree of a member, undefined for the zero ideal."""
     if I.is_zero():
         raise ValueError("alpha is undefined for the zero ideal")
-    return int(I.degrees().min())
+    return int(np.minimum.reduce(I.degrees()))

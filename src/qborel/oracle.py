@@ -104,14 +104,20 @@ def _staircase_witnesses(gens, bound):
     del inside
     bits = np.unpackbits(np.frombuffer(ok.to_bytes(-(-cells // 8), "little"), np.uint8),
                          bitorder="little")
-    # ascending cells are in lex order, so each prime's first is its least
+    # ascending cells are in lex order, so each prime's first is its least;
+    # a cell's prime is keyed by the int whose bit c marks axis c in it
     found = {}
     for i in bits.nonzero()[0].tolist():
         f = [0] * len(bound)
-        for c, s, _ in plan:
+        code = 0
+        for c, s, t in plan:
             f[c], i = divmod(i, s)
-        found.setdefault(frozenset(c + 1 for c, _, t in plan if f[c] < t), f)
-    return found
+            if f[c] < t:
+                code |= 1 << c
+        if code not in found:
+            found[code] = f
+    return {frozenset(c + 1 for c, _, _ in plan if code >> c & 1): f
+            for code, f in found.items()}
 
 
 def _tile(pattern, period, count):

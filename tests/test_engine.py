@@ -1,3 +1,4 @@
+import math
 import pathlib
 import re
 
@@ -154,16 +155,31 @@ def _spy_sorts(monkeypatch):
 
 def test_orbit_sorts_one_layer_per_unit_moved(monkeypatch):
     # the walk dedups one layer per unit of transport distance from m,
-    # so at most deg m times, on the words of its narrow rows and never
-    # in canonical order, and hands back its distinct rows in the
-    # narrow type it holds them in
+    # so at most deg m times, never in canonical order, and hands back
+    # its distinct rows in the narrow type it holds them in.  With every
+    # layer on arrays, each dedup sorts the words of the narrow rows
     dedups = _spy_dedups(monkeypatch)
     sorts = _spy_sorts(monkeypatch)
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
-    rows = engine._orbit_rows(chain, parse_monomial("x8^4", 8))
+    m = parse_monomial("x8^4", 8)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_INT_LAYER_CANDIDATES", 0)
+        rows = engine._orbit_rows(chain, m)
     assert rows.shape == (330, 8) and rows.dtype == np.int8
     assert np.unique(rows, axis=0).shape == rows.shape
     assert dedups == [np.int8] * 4 and sorts == []
+    # by default the layers of fewer candidates than the threshold, rows
+    # times the 7 moves, are deduped as sets of ints: layer r has
+    # C(r + 6, 6) rows, and the arrays dedup each layer past the first
+    # that reaches the threshold
+    dedups.clear()
+    handover = next(r for r in range(5) if 7 * math.comb(r + 6, 6)
+                    >= engine._INT_LAYER_CANDIDATES)
+    assert 0 < handover < 4
+    again = engine._orbit_rows(chain, m)
+    assert dedups == [np.int8] * (4 - handover) and sorts == []
+    assert again.dtype == np.int8
+    assert np.array_equal(monomials.canonical_rows(again), monomials.canonical_rows(rows))
 
 
 def test_closure_is_sorted_once_and_not_minimalized(monkeypatch):

@@ -19,7 +19,7 @@ from qborel import (
     variable_prime,
 )
 from qborel._kernels import NARROW_SORT_ROWS
-from qborel.monomials import _CODED_FORMAT_ROWS, canonical_order, format_rows
+from qborel.monomials import _CODED_FORMAT_ROWS, _check_range, canonical_order, format_rows
 
 rng = np.random.default_rng(20261019)
 
@@ -65,6 +65,20 @@ def test_monomial_validation():
         monomial([1, -1])
     with pytest.raises(OverflowError):
         monomial([1 << 40])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_range_check_names_a_negative_exponent_first(dtype):
+    # one bitwise-or reduction decides both messages: a row holding both
+    # a negative and an overflowing exponent is refused as negative, on
+    # int64 rows and on the python ints that parsing collects
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        _check_range(np.array([[3, -1], [1 << 40, 0]], dtype=dtype))
+    _check_range(np.array([[(1 << 31) - 1, 0]], dtype=dtype))
+    with pytest.raises(OverflowError, match="exponent exceeds the supported range"):
+        _check_range(np.array([[1 << 31, 0]], dtype=dtype))
+    with pytest.raises(OverflowError, match="exponent exceeds the supported range"):
+        parse_monomial("x1^2147483648*x2", 2)
 
 
 def test_pointwise_helpers():

@@ -148,13 +148,42 @@ def test_level_walk_matches_the_bfs(inst, squarefree_only, data):
 
 
 def _walk_matches_the_bfs(poset, m, squarefree_only):
-    rows = engine._orbit_rows(poset, m, squarefree_only)
-    assert rows.shape[1] == poset.n
-    walk = monomials.canonical_rows(rows)
-    assert walk.shape == rows.shape
-    assert np.array_equal(walk, monomials.canonical_rows(
-        orbit_rows_bfs(poset, m, squarefree_only)))
+    # with every layer on arrays, with the default hand-over from ints
+    # to arrays, and with every layer on ints
+    want = monomials.canonical_rows(orbit_rows_bfs(poset, m, squarefree_only))
+    for threshold in (0, engine._INT_LAYER_CANDIDATES, 1 << 62):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_INT_LAYER_CANDIDATES", threshold)
+            rows = engine._orbit_rows(poset, m, squarefree_only)
+        assert rows.shape[1] == poset.n
+        walk = monomials.canonical_rows(rows)
+        assert walk.shape == rows.shape
+        assert np.array_equal(walk, want)
     return rows
+
+
+@pytest.mark.parametrize("n, m, squarefree_only", [
+    (7, [1, 1, 0, 0, 0, 0, 4], False),
+    (9, [0, 1, 0, 1, 0, 1, 0, 1, 1], True),
+])
+def test_walk_handed_over_mid_walk_matches_the_bfs(n, m, squarefree_only):
+    # on a chain these walks take their first layers on ints and, by
+    # default, their last ones on arrays; the arrays must go on from the
+    # last int layer, with every row before it kept
+    chain = Poset(n, [(i, i + 1) for i in range(1, n)])
+    m = np.array(m, np.int64)
+    _walk_matches_the_bfs(chain, m, squarefree_only)
+    seen = []
+    real = engine._distinct_words
+
+    def spy(rows):
+        seen.append(rows)
+        return real(rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_distinct_words", spy)
+        engine._orbit_rows(chain, m, squarefree_only)
+    assert 0 < len(seen) < int(m.sum())
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17])
