@@ -8,7 +8,10 @@ the lcm of the generators.  Every associated prime has a top witness:
 one that sits at the lcm on every axis outside the prime.  A box of at
 most _GRID_CELLS cells is read as a staircase: the membership bitset
 of the ideal, on which one test per axis finds every top witness at
-once.  A larger box falls back to a depth-first walk that classifies
+once.  Each axis builds one mask, its cells at the top, and derives
+its fill masks from it.  A box of at most _INT_CELLS cells is marked
+and decoded on python ints, once per prime, not once per witness cell.
+A box over _GRID_CELLS falls back to a depth-first walk that classifies
 the colon of each divisor outside the ideal whose exponents are 0, one
 below some generator's or the lcm's, so its cost follows the distinct
 exponents of the generators, not their size.  Both routes return the
@@ -27,6 +30,18 @@ from .monomials import MonomialIdeal
 # Its peak is the byte per cell that marks the generators, and later the
 # one that lists the witnesses; the bitsets take a few bits per cell.
 _GRID_CELLS = 1 << 24
+
+# Largest box, in cells, that the staircase marks and decodes on python
+# ints alone: it sets one bit per generator and clears each prime's
+# witness cells with one AND per axis.  A larger box marks a byte grid
+# and packs it, and lists its witness cells with numpy.  Measured on 2
+# vCPUs, ints take 0.46-0.62 of numpy's time on the 1,000 calls of a
+# seed-0 oracle-trials cycle (up to 5,184 cells) and 0.67-0.88 on
+# maximal ideals up to 2^18 cells, where one prime leaves one cell;
+# random boxes with 14-20 primes break even from 3,125 cells (1.01) to
+# 9,375 (1.03) and lose from 12,500 (1.12); 46,656 cells with 32 primes
+# take 1.8 times as long.
+_INT_CELLS = 1 << 13
 
 
 def _maximal_sets(sets):
@@ -48,10 +63,9 @@ def associated_primes_bruteforce(I, return_witnesses=False):
     if I.is_zero() or I.is_unit():
         raise ValueError("associated primes need a proper nonzero ideal")
     gens = np.ascontiguousarray(I.gens)
-    bound = gens.max(axis=0)
     # python ints: the product of 70 factors of two wraps in int64
-    cells = math.prod(int(b) + 1 for b in bound.tolist())
-    if cells <= _GRID_CELLS:
+    bound = gens.max(axis=0).tolist()
+    if math.prod(t + 1 for t in bound) <= _GRID_CELLS:
         found = _staircase_witnesses(gens, bound)
     else:
         found = _walk_witnesses(gens, bound)
@@ -72,36 +86,43 @@ def _staircase_witnesses(gens, bound):
     at the lcm, so its product with x^f stays outside I.  The all-top
     cell is the lcm, which lies in I, so that prime is never empty.
     Each mask is one python int whose bit i is cell i of the box in C
-    order, which is lex order.
+    order, which is lex order.  bound holds the lcm's exponents as
+    python ints.
     """
     # C-order strides; a variable no generator uses scales only zeros
-    bound = bound.tolist()
     stride, cells = [], 1
     for t in reversed(bound):
         stride.append(cells)
         cells *= t + 1
     stride.reverse()
     plan = [(c, stride[c], t) for c, t in enumerate(bound) if t]
-    grid = np.zeros(cells, np.uint8)
-    grid[gens @ np.array(stride)] = 1
-    inside = int.from_bytes(np.packbits(grid, bitorder="little"), "little")
-    del grid
-    # fill upward along each axis by shifts of 1, 2, 4, ...: keep limits
-    # the shift by d to the cells at least d up the axis, and after it
-    # each cell holds every cell less than 2d below it
+    small = cells <= _INT_CELLS
+    index = gens.dot(np.array(stride))
+    if small:
+        inside = 0
+        for i in index.tolist():
+            inside |= 1 << i
+    else:
+        grid = np.zeros(cells, np.uint8)
+        grid[index] = 1
+        inside = int.from_bytes(np.packbits(grid, bitorder="little"), "little")
+        del grid
+    full = (1 << cells) - 1
+    tops = []
     for _, s, t in plan:
-        period = s * (t + 1)
-        d = 1
-        while d <= t:
-            keep = _tile((1 << period) - (1 << d * s), period, cells // period)
-            inside |= (inside << d * s) & keep
-            d *= 2
+        top = _axis_top(s, t, cells)
+        for shift, keep in _fill_masks(top, s, t, full):
+            inside |= (inside << shift) & keep
+        # a top mask per axis takes a bit per cell, 48 MB over 24 axes of
+        # 2^24 cells, so a large box builds each one again for its test
+        tops.append(top if small else None)
     # cells outside I from which each step up that stays in the box enters I
-    ok = ((1 << cells) - 1) ^ inside
-    for _, s, t in plan:
-        period = s * (t + 1)
-        ok &= (inside >> s) | _tile(((1 << s) - 1) << t * s, period, cells // period)
+    ok = full ^ inside
+    for (_, s, t), top in zip(plan, tops):
+        ok &= (inside >> s) | (_axis_top(s, t, cells) if top is None else top)
     del inside
+    if small:
+        return _witnesses_per_prime(ok, plan, tops, len(bound))
     bits = np.unpackbits(np.frombuffer(ok.to_bytes(-(-cells // 8), "little"), np.uint8),
                          bitorder="little")
     # ascending cells are in lex order, so each prime's first is its least;
@@ -118,6 +139,68 @@ def _staircase_witnesses(gens, bound):
             found[code] = f
     return {frozenset(c + 1 for c, _, _ in plan if code >> c & 1): f
             for code, f in found.items()}
+
+
+def _witnesses_per_prime(ok, plan, tops, n):
+    """Decode the witness bitset once per prime, lowest cell first.
+
+    Each pass takes the lowest cell left, its prime's lex-least witness,
+    and clears the rest of that prime's cells at once: one AND per axis
+    with the axis's top mask or its complement picks them out.
+    """
+    found = {}
+    while ok:
+        low = ok & -ok
+        ok ^= low
+        i = low.bit_length() - 1
+        f = [0] * n
+        prime = []
+        same = ok
+        for (c, s, t), top in zip(plan, tops):
+            f[c], i = divmod(i, s)
+            if f[c] < t:
+                prime.append(c + 1)
+                same &= ~top
+            else:
+                same &= top
+        found[frozenset(prime)] = f
+        ok ^= same
+    return found
+
+
+def _axis_top(s, t, cells):
+    """The cells at the top t of an axis of stride s: one bit per cell.
+
+    That is the top run of s cells in each period of the axis.  On a
+    small box whose period fits one 30-bit CPython digit, the run times
+    the all-ones box divided by the all-ones period (a one at the start
+    of each period) takes one linear pass.  A longer period would divide
+    in quadratic time, and on a large box the division and the product
+    are slower than tiling the run by doubling shifts.
+    """
+    period = s * (t + 1)
+    run = ((1 << s) - 1) << t * s
+    if period <= 30 and cells <= _INT_CELLS:
+        return run * (((1 << cells) - 1) // ((1 << period) - 1))
+    return _tile(run, period, cells // period)
+
+
+def _fill_masks(top, s, t, full):
+    """The shifts and masks that fill a bitset upward along one axis.
+
+    Shifts of d steps for d = 1, 2, 4, ... up to t, each with the mask
+    of the cells at least d up the axis: after it each cell holds every
+    cell less than 2d below it.  A cell is at least 2d up iff it and the
+    cell d below it are at least d up, so each mask comes from the last.
+    """
+    keep = top if t == 1 else full ^ (top >> t * s)
+    d = 1
+    while True:
+        yield d * s, keep
+        if 2 * d > t:
+            return
+        keep &= keep << d * s
+        d *= 2
 
 
 def _tile(pattern, period, count):
@@ -146,13 +229,14 @@ def _walk_witnesses(gens, bound):
     unit ideal.  Each prime witness met is raised to the lcm outside its
     prime, which leaves its colon unchanged.
     """
+    n = len(bound)
     step = []
-    for col, top in zip(gens.T, bound.tolist()):
+    for col, top in zip(gens.T, bound):
         vals = np.unique(np.append(col[col > 0] - 1, [0, top])).tolist()
         step.append(dict(zip(vals, vals[1:])))
-    vbuf = np.zeros(bound.size, dtype=np.bool_)
+    vbuf = np.zeros(n, dtype=np.bool_)
     found = {}
-    stack = [(np.zeros(bound.size, dtype=np.int64), 0)]
+    stack = [(np.zeros(n, dtype=np.int64), 0)]
     while stack:
         f, first = stack.pop()
         code = _kernels.colon_class(gens, f, vbuf)
@@ -163,7 +247,7 @@ def _walk_witnesses(gens, bound):
             raised = np.where(vbuf, f, bound).tolist()
             if prime not in found or raised < found[prime]:
                 found[prime] = raised
-        for c in range(first, bound.size):
+        for c in range(first, n):
             nxt = step[c].get(int(f[c]))
             if nxt is not None:
                 g = f.copy()

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qborel import (
     format_monomial,
     generate_principal,
     intersect_contractions,
+    load_poset,
     parse_monomial,
     power,
     powers,
@@ -17,7 +19,7 @@ from qborel import (
 from qborel import _kernels, oracle
 from qborel.oracle import associated_primes_bruteforce
 from test_poset import _peak_bytes
-from test_properties import _top_witnesses_by_colons
+from test_properties import _staircase_at_each_split, _top_witnesses_by_colons
 
 
 def primes(*sets):
@@ -113,13 +115,14 @@ def test_walk_steps_over_unused_exponents(monkeypatch, count_calls):
 
 def _by_route(route, I):
     gens = np.ascontiguousarray(I.gens)
-    found = route(gens, gens.max(axis=0))
+    found = route(gens, gens.max(axis=0).tolist())
     return frozenset(found), sorted(found.items(), key=lambda item: item[1])
 
 
 def _grid_witnesses(gens, bound):
     # the staircase test on a numpy boolean grid with one axis per used
     # variable, a reference for the bit layout of the staircase route
+    bound = np.array(bound)
     axes = np.flatnonzero(bound).tolist()
     inside = np.zeros(tuple(bound[axes] + 1), np.bool_)
     inside[tuple(gens[:, axes].T)] = True
@@ -156,7 +159,7 @@ def test_bitset_edge_cases_match_the_walk_and_every_colon(case):
     gens, n = EDGE_CASES[case]
     I = MonomialIdeal.from_strings(gens, n)
     want = _top_witnesses_by_colons(I)
-    assert _by_route(oracle._staircase_witnesses, I) == want
+    assert _staircase_at_each_split(I) == want
     assert _by_route(oracle._walk_witnesses, I) == want
     assert _by_route(_grid_witnesses, I) == want
 
@@ -165,7 +168,7 @@ def test_bitset_matches_the_grid_on_142_primes():
     # 1,679,616 cells on 8 axes; the walk takes tens of seconds here, so the
     # boolean grid is the reference, and each witness is checked by its colon
     I = MonomialIdeal(np.random.default_rng(5).integers(0, 6, (500, 8)), 8)
-    found = _by_route(oracle._staircase_witnesses, I)
+    found = _staircase_at_each_split(I)
     assert found == _by_route(_grid_witnesses, I)
     assert len(found[0]) == 142
     lcm = I.gens.max(axis=0)
@@ -173,6 +176,46 @@ def test_bitset_matches_the_grid_on_142_primes():
         quotients = np.clip(I.gens - np.array(f), 0, None)
         assert MonomialIdeal(quotients, 8) == variable_prime(prime, 8)
         assert all(f[c] == lcm[c] for c in range(8) if c + 1 not in prime)
+
+
+def _bits(cells):
+    return int.from_bytes(np.packbits(cells.ravel(), bitorder="little"), "little")
+
+
+@pytest.mark.parametrize("axes", [1, 2, 3, 4])
+@pytest.mark.parametrize("int_cells", [0, oracle._INT_CELLS])
+def test_axis_masks_match_the_coordinates(monkeypatch, int_cells, axes):
+    # every box of up to 4 axes with tops 0..8, unused axes (top 0)
+    # between used ones included: each used axis's bottom, top and fill
+    # masks against its coordinate in np.indices, with the top masks
+    # tiled and, where the box is small and the period short, divided
+    monkeypatch.setattr(oracle, "_INT_CELLS", int_cells)
+    for bound in product(range(9), repeat=axes):
+        cells = math.prod(t + 1 for t in bound)
+        coords = np.indices([t + 1 for t in bound])
+        for c, t in enumerate(bound):
+            if not t:
+                continue
+            s = math.prod(u + 1 for u in bound[c + 1:])
+            top = oracle._axis_top(s, t, cells)
+            assert top == _bits(coords[c] == t)
+            assert top >> t * s == _bits(coords[c] == 0)
+            fills = list(oracle._fill_masks(top, s, t, (1 << cells) - 1))
+            steps = [1 << k for k in range(t.bit_length())]
+            assert fills == [(d * s, _bits(coords[c] >= d)) for d in steps]
+
+
+def test_one_top_mask_per_axis(m49, data_dir, count_calls):
+    # a small box builds one top mask per used axis and derives its
+    # other masks from it
+    calls, count = count_calls
+    count(oracle, "_staircase_witnesses")
+    count(oracle, "_axis_top")
+    I = power(generate_principal(load_poset(data_dir / "q11.json"), m49), 2)
+    bound = I.gens.max(axis=0)
+    assert math.prod(int(t) + 1 for t in bound) <= oracle._INT_CELLS
+    associated_primes_bruteforce(I)
+    assert calls == {"_staircase_witnesses": 1, "_axis_top": np.count_nonzero(bound)}
 
 
 def _no_walk(gens, bound):

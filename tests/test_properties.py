@@ -265,6 +265,22 @@ def _primes_and_witnesses(I):
     return found, [(p, f.tolist()) for p, f in witnesses.items()]
 
 
+def _staircase_at_each_split(I):
+    # the staircase with every box on numpy, with the default split and
+    # with every box on python ints: the same dict each time, in the same
+    # order, which is ascending order of the witnesses
+    gens = np.ascontiguousarray(I.gens)
+    bound = gens.max(axis=0).tolist()
+    runs = []
+    for cells in (0, oracle._INT_CELLS, 1 << 24):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_INT_CELLS", cells)
+            runs.append(list(oracle._staircase_witnesses(gens, bound).items()))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == sorted(runs[0], key=lambda item: item[1])
+    return frozenset(dict(runs[0])), runs[0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(ideals())
 def test_staircase_matches_the_walk(I):
@@ -272,6 +288,7 @@ def test_staircase_matches_the_walk(I):
     # walk's primes and the walk's first witness for each, in its order
     assume(not I.is_unit())
     by_grid = _primes_and_witnesses(I)
+    assert _staircase_at_each_split(I) == by_grid
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_GRID_CELLS", 0)
         by_walk = _primes_and_witnesses(I)
@@ -302,6 +319,7 @@ def test_witnesses_match_every_colon_of_the_box(I):
     assume(not I.is_unit())
     want = _top_witnesses_by_colons(I)
     assert _primes_and_witnesses(I) == want
+    assert _staircase_at_each_split(I) == want
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_GRID_CELLS", 0)
         assert _primes_and_witnesses(I) == want
@@ -315,6 +333,7 @@ def test_deep_axes_match_every_colon_of_the_box(I):
     assume(not I.is_unit())
     want = _top_witnesses_by_colons(I)
     assert _primes_and_witnesses(I) == want
+    assert _staircase_at_each_split(I) == want
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_GRID_CELLS", 0)
         assert _primes_and_witnesses(I) == want
