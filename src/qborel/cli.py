@@ -9,6 +9,13 @@ nothing.  Output is deterministic.  Exit codes: 0 ok, 2 unreadable
 input, 3 precondition violation (running out of memory included), 4 a
 structural identity failed on the instance (verify prints its report
 first).
+
+The grammar is declared once, to argparse.  A call that names its
+subcommand and spells each option in full, with its value as the next
+item, is matched against that declaration in one pass and never
+reaches argparse's parser; every other call (help, "-d=2", an
+abbreviated option, a usage error) is parsed by argparse, so help and
+usage errors keep its text and exit code 2.
 """
 
 import argparse
@@ -207,61 +214,146 @@ _nonnegative_int = _int_from(0, "a non-negative integer")
 
 
 @functools.cache
-def _build_parser():
+def _declaration():
+    """The parser, and per subcommand the arguments matched without it.
+
+    Each subcommand maps to its positional actions, its option actions
+    by option string, its required option actions and the namespace
+    before any argument is read: the command name, its set_defaults
+    values and every action's default.
+    """
     parser = argparse.ArgumentParser(
         prog="qborel",
         description="Closure ideals of monomials under poset exchange moves.")
     sub = parser.add_subparsers(dest="command", required=True)
+    grammar = {}
 
-    def add(name, query, helptext):
+    def command(name, helptext, **defaults):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("poset", help="poset file (JSON or line format)")
-        p.add_argument("monomial", help="monomial like x4*x9^2")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(func=_run_query, query=query)
-        return p
+        p.set_defaults(**defaults)
+        positionals, options, required = [], {}, set()
+        start = {"command": name, **defaults}
+        grammar[name] = positionals, options, required, start
 
-    add("gen", _gen, "minimal generators of the closure ideal")
-    add("sfgen", _sfgen, "generators of the square-free closure ideal")
-    add("ass", _ass, "associated primes")
-    add("maxass", _maxass, "inclusion-maximal associated primes")
-    add("decompose", _decompose, "component decomposition")
+        def arg(*names, **kwargs):
+            action = p.add_argument(*names, **kwargs)
+            start[action.dest] = action.default
+            if not action.option_strings:
+                positionals.append(action)
+                return
+            options.update(dict.fromkeys(action.option_strings, action))
+            if action.required:
+                required.add(action)
+        return arg
 
-    p = add("power", _power, "ordinary power of the closure ideal")
-    p.add_argument("-d", type=_int, required=True, help="exponent, d >= 1")
+    def query(name, fn, helptext):
+        arg = command(name, helptext, func=_run_query, query=fn)
+        arg("poset", help="poset file (JSON or line format)")
+        arg("monomial", help="monomial like x4*x9^2")
+        arg("--json", action="store_true", help="emit JSON")
+        return arg
 
-    p = add("sympow", _sympow, "symbolic power of the closure ideal")
-    p.add_argument("-d", type=_int, required=True, help="exponent, d >= 1")
-    p.add_argument("--method", choices=("theorem", "oracle", "both"),
-                   default="theorem")
+    query("gen", _gen, "minimal generators of the closure ideal")
+    query("sfgen", _sfgen, "generators of the square-free closure ideal")
+    query("ass", _ass, "associated primes")
+    query("maxass", _maxass, "inclusion-maximal associated primes")
+    query("decompose", _decompose, "component decomposition")
 
-    p = add("spread", _spread, "analytic spread")
-    p.add_argument("--method", choices=("formula", "rank", "graph", "all"),
-                   default="all")
+    arg = query("power", _power, "ordinary power of the closure ideal")
+    arg("-d", type=_int, required=True, help="exponent, d >= 1")
 
-    add("sfspread", _sfspread, "spread of the square-free closure ideal")
-    add("lrg", _lrg, "linear relation graph edges")
+    arg = query("sympow", _sympow, "symbolic power of the closure ideal")
+    arg("-d", type=_int, required=True, help="exponent, d >= 1")
+    arg("--method", choices=("theorem", "oracle", "both"), default="theorem")
 
-    p = add("certify", _certify, "moves from the monomial to a generator")
-    p.add_argument("target", help="target monomial")
+    arg = query("spread", _spread, "analytic spread")
+    arg("--method", choices=("formula", "rank", "graph", "all"), default="all")
 
-    p = add("invariants", _invariants, "containment invariants")
-    p.add_argument("-d", type=_int, default=3, help="largest power checked")
+    query("sfspread", _sfspread, "spread of the square-free closure ideal")
+    query("lrg", _lrg, "linear relation graph edges")
 
-    p = sub.add_parser("verify", help="randomized identity checks")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--max-n", type=_positive_int, default=6)
-    p.add_argument("--max-deg", type=_positive_int, default=3)
-    p.add_argument("--properties", help="comma-separated property names")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(func=_cmd_verify)
+    arg = query("certify", _certify, "moves from the monomial to a generator")
+    arg("target", help="target monomial")
 
-    return parser
+    arg = query("invariants", _invariants, "containment invariants")
+    arg("-d", type=_int, default=3, help="largest power checked")
+
+    arg = command("verify", "randomized identity checks", func=_cmd_verify)
+    arg("--seed", type=_nonnegative_int, default=0)
+    arg("--trials", type=_positive_int, default=20)
+    arg("--max-n", type=_positive_int, default=6)
+    arg("--max-deg", type=_positive_int, default=3)
+    arg("--properties", help="comma-separated property names")
+    arg("--json", action="store_true", help="emit JSON")
+
+    return parser, grammar
+
+
+def _build_parser():
+    """The argparse parser, for help and usage errors."""
+    return _declaration()[0]
+
+
+def _value(action, text):
+    """text read by the action's type, in the action's choices.
+
+    Raises what argparse refuses a value for, and ValueError for a text
+    starting with "-", which argparse may read as an option.
+    """
+    if text.startswith("-"):
+        raise ValueError(text)
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
+def _match(argv):
+    """The namespace parse_args(argv) builds, or None to leave it argparse.
+
+    A call is matched in one pass when it names a subcommand, spells
+    every option in full as its own item, follows each option taking a
+    value by a value not starting with "-" that the option's type and
+    choices accept, gives every required option and exactly the
+    positional arguments declared.  Anything else (help, "--", "-d=2",
+    "-d2", abbreviations, unknown options, bad values, missing or
+    extra arguments) is None, and argparse prints its usage error.
+    """
+    if not argv or not all(isinstance(item, str) for item in argv):
+        return None
+    spec = _declaration()[1].get(argv[0])
+    if spec is None:
+        return None
+    positionals, options, required, start = spec
+    values, texts, seen = dict(start), [], set()
+    items = iter(argv[1:])
+    try:
+        for item in items:
+            if not item.startswith("-"):
+                texts.append(item)
+                continue
+            action = options.get(item)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                values[action.dest] = action.const
+            else:
+                values[action.dest] = _value(action, next(items, "-"))
+                seen.add(action)
+        if len(texts) != len(positionals) or not required <= seen:
+            return None
+        for action, text in zip(positionals, texts):
+            values[action.dest] = _value(action, text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _match(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

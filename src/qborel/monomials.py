@@ -19,6 +19,13 @@ _EXPONENT_LIMIT = 1 << 31
 
 _TERM_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
+# Up to this many rows canonical_order sorts Python lists.  On 3 to 8
+# columns (2 vCPUs) a lexsort takes 2 to 4.4 us whatever the rows, the
+# list sort 1 to 1.9 us on 3 to 8 rows, at par on 10 to 12 of 3 columns.
+# On 3 rows of 12,000 int8 columns it takes 0.33 against 7.3 ms, and
+# peaks at 0.5 MB where the lexsort peaked at 33 MB.
+_LIST_SORT_ROWS = 8
+
 
 def _check_range(arr):
     """Refuse a negative exponent, then one past the supported range.
@@ -165,13 +172,23 @@ def canonical_order(rows, degs=None):
     That is the order a worked example is read in.  degs holds the
     degrees of the rows; without it the rows are taken to be of one
     degree, as an orbit's are, and are sorted on their columns alone.
-    From _kernels.NARROW_SORT_ROWS rows on, the sort reads copies of
-    the rows and degrees cast to the narrowest type holding them, which
+    Up to _LIST_SORT_ROWS rows are sorted as Python lists, one key per
+    row: a lexsort costs a pass per column however few the rows.  From
+    _kernels.NARROW_SORT_ROWS rows on, the sort reads copies of the
+    rows and degrees cast to the narrowest type holding them, which
     numpy sorts by radix.
     """
     # sorted ascending on the inverted degrees and read backwards, so no
-    # negated copy of the rows is made; only equal rows tie.  ~ reverses
-    # the order of signed and unsigned keys alike
+    # negated copy of the rows is made; only equal rows tie, and they
+    # come last index first.  ~ reverses the order of signed and
+    # unsigned keys alike
+    if len(rows) <= _LIST_SORT_ROWS:
+        keys = rows.tolist()
+        if degs is not None:
+            keys = list(zip((~degs).tolist(), keys))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        order.reverse()
+        return order
     keys = _kernels.sort_keys(rows)[:, ::-1].T
     if degs is not None:
         keys = (*keys, ~_kernels.sort_keys(degs))

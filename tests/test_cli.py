@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -509,3 +510,136 @@ def test_module_entry_point(q11_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     assert out.returncode == 0
     assert out.stdout.splitlines() == Q11_ORDERED
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch, q11_path):
+    # [project.scripts] calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["qborel", "gen", q11_path, "x4*x9^2"])
+    assert cli.main() == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == Q11_ORDERED
+    monkeypatch.setattr(sys, "argv", ["qborel", "gen", q11_path])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == cli.EXIT_PARSE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "qborel gen: error: the following arguments are required: monomial")
+
+
+def _well_formed(data_dir):
+    q3, q11 = str(data_dir / "q3.json"), str(data_dir / "q11.json")
+    return [
+        ["gen", q11, "x4*x9^2", "--json"], ["sfgen", q3, "x2*x3"],
+        ["ass", q11, "x4*x9^2"], ["maxass", "--json", q3, "x2*x3"],
+        ["decompose", q3, "x2*x3"], ["power", q3, "-d", "2", "x2"],
+        ["sympow", q3, "x2", "--method", "both", "-d", "2", "--json"],
+        ["spread", q11, "x4*x9^2", "--method", "rank"], ["sfspread", q3, "x2*x3"],
+        ["lrg", q3, "x2*x3"], ["certify", q11, "x4*x9^2", "x1*x6^2"],
+        ["invariants", q3, "x2", "-d", "1"],
+        ["verify", "--seed", "3", "--trials", "1", "--max-n", "3", "--max-deg", "2",
+         "--properties", "spread-agreement", "--json"],
+    ]
+
+
+def test_well_formed_calls_never_reach_argparse(capsys, data_dir, count_calls):
+    calls, count = count_calls
+    count(argparse.ArgumentParser, "parse_args")
+    argvs = _well_formed(data_dir)
+    assert {argv[0] for argv in argvs} == set(cli._declaration()[1])
+    for argv in argvs:
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    assert calls == {}
+    capsys.readouterr()
+    assert cli.main(["gen", str(data_dir / "q3.json"), "x2", "--js"]) == cli.EXIT_OK
+    assert calls == {"parse_args": 1}
+
+
+# Each shape is left to argparse.  The exit codes and last lines were
+# recorded before well-formed calls were matched without it.
+FALLBACK_SHAPES = [
+    (["power", "q3.json", "x2", "-d=2"], 0, "out", "x2^2"),
+    (["power", "q3.json", "x2", "-d2"], 0, "out", "x2^2"),
+    (["gen", "q3.json", "x2*x3", "--js"], 0, "out", '{"generators": ["x1*x2", "x2*x3"]}'),
+    (["spread", "q11.json", "x4*x9^2", "--meth", "rank"], 0, "out", "rank=4"),
+    (["power", "q3.json", "x2"], "SystemExit(2)", "err",
+     "qborel power: error: the following arguments are required: -d"),
+    (["sympow", "q3.json", "x2", "-d", "2", "--method", "bogus"], "SystemExit(2)", "err",
+     "qborel sympow: error: argument --method: invalid choice: 'bogus' "
+     "(choose from 'theorem', 'oracle', 'both')"),
+    (["gen", "q3.json", "x2", "extra"], "SystemExit(2)", "err",
+     "qborel: error: unrecognized arguments: extra"),
+    (["gen", "q3.json", "x2", "--nope"], "SystemExit(2)", "err",
+     "qborel: error: unrecognized arguments: --nope"),
+    (["power", "q3.json", "x2", "-d", "-1"], 3, "err",
+     "error: power wants an integer exponent d >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, line", FALLBACK_SHAPES,
+                         ids=[" ".join(shape[0]) for shape in FALLBACK_SHAPES])
+def test_fallback_shapes_keep_argparse_output(capsys, data_dir, argv, code, stream, line):
+    argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+    assert cli._match(argv) is None
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    assert got == code
+    assert getattr(captured, stream).splitlines()[-1] == line
+
+
+_PATHS = [str(pathlib.Path(__file__).parent / "data" / name)
+          for name in ("q3.json", "q6.txt", "missing.json")]
+_NUMBERS = ["2", "0", "-1", " 2", "\u0662", "1_0", "x2"]
+_OPTION_VALUES = {
+    "-d": _NUMBERS, "--seed": _NUMBERS, "--trials": _NUMBERS, "--max-n": _NUMBERS,
+    "--max-deg": _NUMBERS, "--properties": ["spread-agreement", "", "-1"],
+    "--method": ["theorem", "oracle", "both", "formula", "rank", "graph", "all", "bogus"],
+}
+_POSITIONALS = [*_PATHS, "x2", "x2*x3", "", "2"]
+_TOKENS = sorted(
+    {option[:k] for option in [*_OPTION_VALUES, "--json"] for k in range(1, len(option) + 1)}
+    | {"-h", "--help", "--", "-d=2", "-d2", "--json=1", "verify", "gen"}
+    | set(_POSITIONALS) | {v for values in _OPTION_VALUES.values() for v in values})
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, then positionals and options in any order.
+
+    Mostly the declared positional count and options, so that many
+    calls match; now and then one more or one less positional, an
+    option of another subcommand or any token of the alphabet.
+    """
+    command = draw(st.sampled_from(sorted(cli._declaration()[1]) + ["frobnicate", "-h"]))
+    declared = {"verify": 0, "certify": 3}.get(command, 2)
+    count = max(0, declared + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    pieces = [[draw(st.sampled_from(_POSITIONALS))] for _ in range(count)]
+    pair = st.sampled_from(sorted(_OPTION_VALUES)).flatmap(
+        lambda option: st.sampled_from(_OPTION_VALUES[option]).map(lambda v: [option, v]))
+    pieces += draw(st.lists(pair | st.just(["--json"]), max_size=3))
+    if draw(_rarely):
+        pieces.append([draw(st.sampled_from(_TOKENS))])
+    return [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_match_agrees_with_argparse(argv):
+    # a matched call is the namespace argparse builds; a call argparse
+    # refuses, or answers with help, is never matched
+    got = cli._match(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            want = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            want = None
+    event("matched" if got is not None else "argparse refuses" if want is None
+          else "left to argparse")
+    assert got is None or vars(got) == want
+
+
+def test_match_leaves_non_strings_to_argparse(q3_path):
+    assert cli._match(["gen", q3_path, 2]) is None
+    assert cli._match([]) is None

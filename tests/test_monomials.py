@@ -19,7 +19,8 @@ from qborel import (
     variable_prime,
 )
 from qborel._kernels import NARROW_SORT_ROWS
-from qborel.monomials import _CODED_FORMAT_ROWS, _check_range, canonical_order, format_rows
+from qborel.monomials import (
+    _CODED_FORMAT_ROWS, _LIST_SORT_ROWS, _check_range, canonical_order, format_rows)
 
 rng = np.random.default_rng(20261019)
 
@@ -100,11 +101,12 @@ def test_canonical_order_is_degree_then_reverse_lex():
     assert I.generator_strings() == ["x1^2", "x1*x2", "x2^2", "x3^2"]
 
 
-@pytest.mark.parametrize("k", [NARROW_SORT_ROWS - 1, NARROW_SORT_ROWS, 3 * NARROW_SORT_ROWS])
+@pytest.mark.parametrize("k", [3, _LIST_SORT_ROWS, _LIST_SORT_ROWS + 1, NARROW_SORT_ROWS - 1,
+                               NARROW_SORT_ROWS, 3 * NARROW_SORT_ROWS])
 @pytest.mark.parametrize("top", [1, 255, 256, 65535, 65536, 2**31 - 1])
 def test_canonical_order_matches_the_int64_sort(k, top):
-    # the sort keys may be cast narrower; the order, ties included, is
-    # that of the int64 rows
+    # a few rows are sorted as lists, and the sort keys of many may be
+    # cast narrower; the order, ties included, is that of the int64 rows
     rows = rng.integers(0, top, size=(k, 6), endpoint=True)
     rows[rng.integers(0, k, size=k // 4)] = rows[0]
     rows[1, 2] = top
