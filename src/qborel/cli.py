@@ -13,9 +13,12 @@ first).
 The grammar is declared once, to argparse.  A call that names its
 subcommand and spells each option in full, with its value as the next
 item, is matched against that declaration in one pass and never
-reaches argparse's parser; every other call (help, "-d=2", an
-abbreviated option, a usage error) is parsed by argparse, so help and
-usage errors keep its text and exit code 2.
+reaches argparse's parser.  Every other call (help, "-d=2", an
+abbreviated option, a usage error) goes to argparse unchanged, so it
+parses as before; usage errors keep argparse's text and exit code 2.
+The match pays off for a caller that makes many calls in one
+process; a process that makes one call spends its time starting the
+interpreter and importing, either way.
 """
 
 import argparse
@@ -289,11 +292,6 @@ def _declaration():
     return parser, grammar
 
 
-def _build_parser():
-    """The argparse parser, for help and usage errors."""
-    return _declaration()[0]
-
-
 def _value(action, text):
     """text read by the action's type, in the action's choices.
 
@@ -353,7 +351,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _match(argv)
     if args is None:
-        args = _build_parser().parse_args(argv)
+        args = _declaration()[0].parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

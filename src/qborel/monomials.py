@@ -19,11 +19,9 @@ _EXPONENT_LIMIT = 1 << 31
 
 _TERM_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
-# Up to this many rows canonical_order sorts Python lists.  On 3 to 8
-# columns (2 vCPUs) a lexsort takes 2 to 4.4 us whatever the rows, the
-# list sort 1 to 1.9 us on 3 to 8 rows, at par on 10 to 12 of 3 columns.
-# On 3 rows of 12,000 int8 columns it takes 0.33 against 7.3 ms, and
-# peaks at 0.5 MB where the lexsort peaked at 33 MB.
+# Up to this many rows canonical_order sorts Python lists.  A lexsort
+# makes a key copy and a pass per column, so a few wide rows (3 rows of
+# 12,000 int8 columns) peaked at 33 MB; the list sort peaks at 0.5 MB.
 _LIST_SORT_ROWS = 8
 
 

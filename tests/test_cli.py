@@ -632,7 +632,7 @@ def test_match_agrees_with_argparse(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            want = vars(cli._build_parser().parse_args(argv))
+            want = vars(cli._declaration()[0].parse_args(argv))
         except SystemExit:
             want = None
     event("matched" if got is not None else "argparse refuses" if want is None
