@@ -169,7 +169,7 @@ def _invariants(poset, m, args):
 
 
 def _cmd_verify(args):
-    names = args.properties.split(",") if args.properties else None
+    names = None if args.properties is None else args.properties.split(",")
     reports = verify.run_suite(
         args.seed, args.trials, args.max_n, args.max_deg, properties=names)
     lines = [f"seed={args.seed} trials={args.trials} "
@@ -354,10 +354,7 @@ def main(argv=None):
         args = _declaration()[0].parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except TheoremViolation as exc:

@@ -171,18 +171,20 @@ def _witnesses_per_prime(ok, plan, tops, n):
 def _axis_top(s, t, cells):
     """The cells at the top t of an axis of stride s: one bit per cell.
 
-    That is the top run of s cells in each period of the axis.  On a
-    small box whose period fits one 30-bit CPython digit, the run times
-    the all-ones box divided by the all-ones period (a one at the start
-    of each period) takes one linear pass.  A longer period would divide
-    in quadratic time, and on a large box the division and the product
-    are slower than tiling the run by doubling shifts.
+    That is the top run of s cells in each period of s * (t + 1) cells,
+    tiled over the box by doubling shifts: the bits of the period count,
+    highest first, each double the copies so far and a one adds a copy.
     """
     period = s * (t + 1)
     run = ((1 << s) - 1) << t * s
-    if period <= 30 and cells <= _INT_CELLS:
-        return run * (((1 << cells) - 1) // ((1 << period) - 1))
-    return _tile(run, period, cells // period)
+    out = done = 0
+    for bit in bin(cells // period)[2:]:
+        out |= out << done * period
+        done *= 2
+        if bit == "1":
+            out = out << period | run
+            done += 1
+    return out
 
 
 def _fill_masks(top, s, t, full):
@@ -201,19 +203,6 @@ def _fill_masks(top, s, t, full):
             return
         keep &= keep << d * s
         d *= 2
-
-
-def _tile(pattern, period, count):
-    """count copies of a period-bit pattern side by side, by doubling shifts."""
-    out = done = 0
-    # the bits of count, highest first: double the copies, then add one
-    for bit in bin(count)[2:]:
-        out |= out << done * period
-        done *= 2
-        if bit == "1":
-            out = out << period | pattern
-            done += 1
-    return out
 
 
 def _walk_witnesses(gens, bound):

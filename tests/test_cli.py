@@ -245,6 +245,22 @@ def test_verify_selected_property(capsys):
     assert doc["failures"] == []
 
 
+TWICE = "spread-agreement,spread-agreement"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # an empty list names one empty property, as it does between commas
+    (["--properties", ""], "unknown property ''"),
+    (["--properties="], "unknown property ''"),
+    (["--properties", ","], "unknown property ''"),
+    (["--properties", TWICE], "property 'spread-agreement' named twice"),
+    (["--properties", TWICE, "--json"], "property 'spread-agreement' named twice"),
+])
+def test_verify_rejects_a_bad_property_list(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", "--trials", "1", *argv)
+    assert (code, out, err) == (cli.EXIT_PRECONDITION, "", f"error: {message}\n")
+
+
 def test_exit_parse_errors(capsys, q3_path, tmp_path):
     code, _, err = run_cli(capsys, "gen", str(tmp_path / "missing.json"), "x1")
     assert code == cli.EXIT_PARSE and "error" in err

@@ -183,13 +183,10 @@ def _bits(cells):
 
 
 @pytest.mark.parametrize("axes", [1, 2, 3, 4])
-@pytest.mark.parametrize("int_cells", [0, oracle._INT_CELLS])
-def test_axis_masks_match_the_coordinates(monkeypatch, int_cells, axes):
+def test_axis_masks_match_the_coordinates(axes):
     # every box of up to 4 axes with tops 0..8, unused axes (top 0)
     # between used ones included: each used axis's bottom, top and fill
-    # masks against its coordinate in np.indices, with the top masks
-    # tiled and, where the box is small and the period short, divided
-    monkeypatch.setattr(oracle, "_INT_CELLS", int_cells)
+    # masks against its coordinate in np.indices
     for bound in product(range(9), repeat=axes):
         cells = math.prod(t + 1 for t in bound)
         coords = np.indices([t + 1 for t in bound])

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -409,6 +410,29 @@ def test_draw_instance_pinned():
         poset, *drawn = verify.draw_instance(name, 0, index, 7, 4)
         assert (poset.n, sorted(poset.covers)) == (n, covers), (name, index)
         assert [monomials.format_monomial(m) for m in drawn] == ms, (name, index)
+
+
+def test_draw_instance_digest():
+    # every instance the nine samplers draw at seeds 0 and 1, indices
+    # 0-499 and the acceptance sizes, hashed: any sampler change that
+    # moves one instance of criteria 4-9 changes the digest
+    digest = hashlib.sha256()
+    for name in verify.PROPERTIES:
+        for seed in (0, 1):
+            for index in range(500):
+                poset, *drawn = verify.draw_instance(name, seed, index, 7, 4)
+                digest.update(repr((name, seed, index, poset.n, sorted(poset.covers),
+                                    [m.tolist() for m in drawn])).encode())
+    assert digest.hexdigest() == (
+        "868c6a94590cf3b97c7698618f29c76da9a8d72e99acd81c37426958b2b7dee8")
+
+
+def test_disjoint_intersection_names_an_overlap():
+    # x1 lies below both x2 and x3, so the sampler's promise is broken
+    poset = Poset(3, [(1, 2), (1, 3)])
+    fails = verify.check_disjoint_intersection(poset, [0, 1, 0], [0, 0, 2])
+    assert fails == [
+        "order ideals of x2 and x3^2 on Poset(3, [(1, 2), (1, 3)]) meet in [1]"]
 
 
 def test_run_trial_reproducible():
