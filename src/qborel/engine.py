@@ -1,26 +1,27 @@
 """Closure of monomials under downward variable exchanges along a poset.
 
-Generators come from a walk over the orbit of m by transport distance
-r(u) = |u - m|_1 / 2, one sorted layer per unit moved.  Layer r + 1 is
-made from layer r by the moves that raise r by one.  That reaches the
-whole orbit: a transport plan from m to u that keeps min(m, u) in place
-has no variable that both sends and receives, so each of its moves
-raises r, and so every orbit member but m has a parent one layer up.
-A membership certificate is such a plan and needs no orbit.
-
-The walk holds its narrow rows padded with zero columns to whole 8-byte
-words.  A small layer holds each row as the python int of those bytes:
-a move adds one constant, and a set dedups the layer.  From the first
-layer with _INT_LAYER_CANDIDATES candidate children on, the rows turn
-into one numpy array, and each further layer is deduped by one sort
-over its words: equal words mean equal rows, so a layer's order does
-not matter.  Every row has degree deg m, so the ideal sorts the union
-once on its columns alone into canonical order, with no int64 re-sort
-and no minimalization.
+The closure of m is the product over supp m of P_{A_i}^{a_i}, where A_i
+is the down-set of x_i and a_i = m_i (transversal_factorization).  So
+its generators are the distinct products of one degree-a_i monomial on
+each A_i, sums of exponent vectors: all have degree deg m, and none
+divides another.  Up to a
+closure_bound of _SUM_BOUND, the sums are taken on python ints, one
+packed row each, and a descending sort of the ints is the canonical
+order.  Past it, generators come from a walk over the orbit of m by
+transport distance r(u) = |u - m|_1 / 2, one layer per unit moved, on
+numpy rows deduped by one sort over their words and sorted once at the
+end.  That reaches the whole orbit: a transport plan from m to u that
+keeps min(m, u) in place has no variable that both sends and receives,
+so each of its moves raises r, and so every orbit member but m has a
+parent one layer up.  Either way the ideal takes the rows as they come,
+with no re-sort and no minimalization; verify checks the sums against
+the walk.  A membership certificate is such a plan and needs no orbit.
 """
 
+import math
 from collections import deque
 from dataclasses import InitVar, dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -85,24 +86,86 @@ def _distinct_words(rows):
     return rows.take(order.compress(fresh), axis=0)
 
 
-# Below this many candidate children in a layer (rows times moves) the
-# walk steps each row as one python int; from it on, as padded numpy
-# rows.  The ints skip numpy's per-call cost, which dominates small
-# layers, and lose to the arrays per child.  Over the 1,300 walks of a
-# seed-0 oracle-trials cycle (2 vCPUs, in-process, best of 15) all on
-# arrays take 51.6 ms, with the hand-over at 96 to 128 candidates 30-32
-# ms and at 192 28 ms.  All on ints, x8^4 on an 8-chain slows from 0.22
-# to 0.45 ms and x8^10 from 5.6 to 41 ms; from 256 on, x8^3 and x8^4
-# slow by a fifth.  96 keeps clear of that, and 271 of those walks
-# still reach the arrays.
-_INT_LAYER_CANDIDATES = 96
+def _factors(poset, mm):
+    """(A_i, a_i) over the support of the exponent list mm, ascending."""
+    return [(poset.down_closure({i}), e) for i, e in enumerate(mm, 1) if e]
 
 
-def _orbit_rows(poset, m, squarefree_only=False):
-    # every reachable monomial has deg(m), so the orbit is finite and
-    # already a minimal generating set.  The walk goes by transport
-    # distance r(u) = |u - m|_1 / 2.  A move x_s -> x_t raises r by one
-    # iff 0 < u_s <= m_s and u_t >= m_t, and the walk makes only those.
+def _bound(factors):
+    return math.prod(math.comb(len(members) + a - 1, a) for members, a in factors)
+
+
+def closure_bound(poset, m):
+    """The bound prod C(|A_i| + a_i - 1, a_i) on the closure's generators.
+
+    Each generator is a sum of one degree-a_i monomial on each A_i of
+    transversal_factorization, and there are C(|A_i| + a_i - 1, a_i) of
+    those; the bound is exact for a power of one variable on a chain.
+    Nothing is generated.
+    """
+    return _bound(transversal_factorization(poset, m))
+
+
+# Up to this closure_bound a closure is built as sums on python ints;
+# past it, by the array walk.  The ints skip numpy's per-call cost,
+# which dominates small closures, but dedup and sort slower per row.
+# Timed against the walk (2 vCPUs, best of 5) on chain powers, q11
+# monomials and random orders, the sums were faster on 63 of 64
+# closures with bounds up to 1,024 and slower on 5 of 19 from 1,025 to
+# 10,000, by up to half again (x6^12 on a 6-chain: 1.8 against 1.2 ms).
+_SUM_BOUND = 1024
+
+
+def _degree_sums(units, a):
+    # the sums of a units, repeats allowed: each once, and in descending
+    # order when the units are.  A lone unit is multiplied, not summed a
+    # times: its factor adds nothing to the bound, so a is unbounded
+    if a == 1:
+        return units
+    if len(units) == 1:
+        return [a * units[0]]
+    return [sum(picks) for picks in combinations_with_replacement(units, a)]
+
+
+def _closure_rows(poset, m, squarefree_only=False):
+    # the distinct rows of the closure of m, in canonical order, in the
+    # narrowest signed type that holds -1 - deg m, and so deg m.  Every
+    # sum of one degree-a_i monomial on each A_i has degree deg m, so
+    # the distinct sums are the minimal generators.  A row is one python
+    # int, column c in the field of b bits at b * (n - 1 - c): no field
+    # exceeds deg m < 2^(b - 1), so sums carry nothing across fields,
+    # and descending ints are descending lex rows.  Square-free rows are
+    # the sums of one variable of each A_i with no variable twice, which
+    # is what a move may reach from a square-free m keeping it so; their
+    # fields hold 0 or 1, so two share a variable iff x & y != 0
+    mm = m.tolist()
+    factors = _factors(poset, mm)
+    bound = _bound(factors)
+    if bound == 1:
+        # m's support sits on minimal elements: the closure is m alone
+        return m[None, :]
+    if bound > _SUM_BOUND:
+        return _walk_rows(poset, m, squarefree_only)
+    n = poset.n
+    dtype = np.min_scalar_type(-1 - sum(mm))
+    b = 8 * dtype.itemsize
+    tables = [_degree_sums([1 << b * (n - j) for j in sorted(members)], a)
+              for members, a in factors]
+    acc = tables[0]
+    for table in tables[1:]:
+        if squarefree_only:
+            acc = {x + y for x in acc for y in table if not x & y}
+        else:
+            acc = {x + y for x in acc for y in table}
+    nbytes = n * dtype.itemsize
+    data = b"".join([u.to_bytes(nbytes, "little") for u in sorted(acc, reverse=True)])
+    return np.frombuffer(data, dtype).reshape(-1, n)[:, ::-1]
+
+
+def _walk_rows(poset, m, squarefree_only=False):
+    # the closure as a walk over the orbit of m by transport distance
+    # r(u) = |u - m|_1 / 2.  A move x_s -> x_t raises r by one iff
+    # 0 < u_s <= m_s and u_t >= m_t, and the walk makes only those.
     # That misses nothing: a transport plan from m to an orbit member u
     # that keeps min(m, u) in place has no variable that both sends and
     # receives, so replaying it raises r at every step, and in
@@ -111,56 +174,24 @@ def _orbit_rows(poset, m, squarefree_only=False):
     # later layer, and one dedup per nonempty layer past m suffices: at
     # most deg m.  Rows, and m with them so that comparisons need no
     # upcast, are held in the narrowest signed type that holds
-    # -1 - deg m, and so deg m, which shrinks the children of a layer.
-    # They are padded with zero columns, which no move touches, to whole
-    # 8-byte words.  Move k, step row +1 at dst[k] and -1 at src[k],
-    # sends a unit down from x_src dividing m to x_dst below it
+    # -1 - deg m, padded with zero columns, which no move touches, to
+    # whole 8-byte words, and sorted once at the end.  Move k, step row
+    # +1 at dst[k] and -1 at src[k], sends a unit down from x_src
+    # dividing m to x_dst below it
     mm = m.tolist()
-    moves = [(j - 1, i - 1) for i, e in enumerate(mm, 1) if e
-             for j in poset.down_closure({i}) if j != i]
-    if not moves:
-        # m's support sits on minimal elements: the orbit is m alone
-        return m[None, :]
+    moves = np.array([(j - 1, i - 1) for i, e in enumerate(mm, 1) if e
+                      for j in poset.down_closure({i}) if j != i],
+                     dtype=np.intp).reshape(-1, 2)
     n = poset.n
     dtype = np.min_scalar_type(-1 - sum(mm))
     width = -(-n * dtype.itemsize // 8) * 8 // dtype.itemsize
-    nbytes = width * dtype.itemsize
-    # small layers: a row is the int of its padded little-endian bytes,
-    # column c the field of b bits at b * c.  Every exponent is at most
-    # deg m < 2^(b - 1) and u_s >= 1, so a move adds one constant with
-    # no carry or borrow across fields, and a set dedups the layer
-    b = 8 * dtype.itemsize
-    field = (1 << b) - 1
-    cap = 0 if squarefree_only else field
-    senders = {}
-    for t, s in moves:
-        senders.setdefault(s, []).append((b * t, mm[t], (1 << b * t) - (1 << b * s)))
-    senders = [(b * s, mm[s], targets) for s, targets in senders.items()]
-    u = sum(e << b * c for c, e in enumerate(mm))
-    walked, layer = [u], [u]
-    while layer and len(layer) * len(moves) < _INT_LAYER_CANDIDATES:
-        children = set()
-        for u in layer:
-            for bs, top, targets in senders:
-                if 0 < (u >> bs & field) <= top:
-                    for bt, low, step in targets:
-                        if low <= (u >> bt & field) <= cap:
-                            children.add(u + step)
-        walked += children
-        layer = children
-    rows = np.frombuffer(b"".join([u.to_bytes(nbytes, "little") for u in walked]),
-                         dtype).reshape(-1, width)
-    if not layer:
-        return rows[:, :n]
-    # larger layers: the rows walked so far, m first and the last layer
-    # at their end, continue as padded arrays, each deduped on its words
-    m = rows[0]
-    moves = np.array(moves, dtype=np.intp)
+    layer = np.zeros((1, width), dtype)
+    layer[0, :n] = mm
+    m = layer[0]
     dst, src = moves.T
     step = np.zeros((len(moves), width), dtype=dtype)
     step[np.arange(len(moves))[:, None], moves] = 1, -1
-    layers = [rows]
-    layer = rows[len(rows) - len(layer):]
+    layers = [layer]
     while True:
         take = layer >= m
         if squarefree_only:
@@ -168,7 +199,8 @@ def _orbit_rows(poset, m, squarefree_only=False):
         sends = (layer > 0) & (layer <= m)
         r, c = (sends.take(src, axis=1) & take.take(dst, axis=1)).nonzero()
         if not r.size:
-            return np.concatenate(layers)[:, :n]
+            rows = np.concatenate(layers)[:, :n]
+            return rows.take(monomials.canonical_order(rows), axis=0)
         layer = _distinct_words(layer.take(r, axis=0) + step.take(c, axis=0))
         layers.append(layer)
 
@@ -176,7 +208,7 @@ def _orbit_rows(poset, m, squarefree_only=False):
 def generate_principal(poset, m):
     """Smallest ideal containing m and closed under the exchange moves."""
     m = closure_monomial(poset, m)
-    return MonomialIdeal(_orbit_rows(poset, m), poset.n, _one_degree=True)
+    return MonomialIdeal(_closure_rows(poset, m), poset.n, _one_degree=True)
 
 
 def generate_from_set(poset, ms):
@@ -184,7 +216,7 @@ def generate_from_set(poset, ms):
     ms = [closure_monomial(poset, m) for m in ms]
     if not ms:
         raise ValueError("need at least one monomial")
-    return MonomialIdeal(np.concatenate([_orbit_rows(poset, m) for m in ms]), poset.n)
+    return MonomialIdeal(np.concatenate([_closure_rows(poset, m) for m in ms]), poset.n)
 
 
 def generate_sf_principal(poset, m):
@@ -192,7 +224,7 @@ def generate_sf_principal(poset, m):
     m = closure_monomial(poset, m)
     if not monomials.is_squarefree(m):
         raise ValueError("square-free closure needs a square-free monomial")
-    rows = _orbit_rows(poset, m, squarefree_only=True)
+    rows = _closure_rows(poset, m, squarefree_only=True)
     return MonomialIdeal(rows, poset.n, _one_degree=True)
 
 
@@ -203,11 +235,7 @@ def transversal_factorization(poset, m):
     A_i is the down closure of {i}; the closure ideal is the product of
     the primes on A_i raised to a_i.
     """
-    m = closure_monomial(poset, m)
-    return [
-        (poset.down_closure({i}), int(m[i - 1]))
-        for i in sorted(monomials.support(m))
-    ]
+    return _factors(poset, closure_monomial(poset, m).tolist())
 
 
 def expand_factorization(factors, nvars):

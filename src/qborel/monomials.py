@@ -251,7 +251,8 @@ class MonomialIdeal:
     construction, so equal ideals compare equal.  The zero ideal has no
     rows and the unit ideal the single row of the monomial 1.  The
     private _one_degree=True takes a nonempty array of distinct rows of
-    nonnegative integers, all of one degree, and does not minimalize.
+    nonnegative integers, all of one degree and in canonical order, and
+    neither sorts nor minimalizes them.
     """
 
     __slots__ = ("gens", "nvars")
@@ -259,12 +260,11 @@ class MonomialIdeal:
     def __init__(self, gens, nvars, *, _one_degree=False):
         nvars = int(nvars)
         if _one_degree:
-            # distinct rows of one degree, as an orbit's are: each is its
-            # own minimal generator, so they are only sorted, in the
-            # narrow type they may come in.  No exponent exceeds the
-            # degree, so only a degree of 2^31 or more is checked
-            if len(gens) > 1:
-                gens = gens.take(canonical_order(gens), axis=0)
+            # distinct rows of one degree in canonical order, as a
+            # closure's are: each is its own minimal generator, so they
+            # are kept as they come, widened from the narrow type they
+            # may come in.  No exponent exceeds the degree, so only a
+            # degree of 2^31 or more is checked
             rows = gens.astype(np.int64)
             if rows.size and int(np.add.reduce(rows[0])) >= _EXPONENT_LIMIT:
                 _check_range(rows)

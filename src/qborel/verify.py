@@ -166,7 +166,11 @@ def check_product_identity(poset, m1, m2):
 
 
 def check_transversal(poset, m):
-    """Expanding the variable-prime factorization recovers the closure."""
+    """Expanding the variable-prime factorization recovers the closure.
+
+    At these sizes the closure itself is built as sums over the same
+    factorization, so it is also compared with the move walk's orbit.
+    """
     fails = []
     I = engine.generate_principal(poset, m)
     factors = engine.transversal_factorization(poset, m)
@@ -174,6 +178,11 @@ def check_transversal(poset, m):
         fails.append(
             f"transversal factorization of {monomials.format_monomial(m)} "
             f"on {poset!r} does not expand to the closure")
+    walked = engine._walk_rows(poset, engine.closure_monomial(poset, m))
+    if monomials.MonomialIdeal(walked, poset.n) != I:
+        fails.append(
+            f"closure of {monomials.format_monomial(m)} on {poset!r} "
+            f"differs from the move walk's orbit")
     return fails
 
 

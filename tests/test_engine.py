@@ -154,42 +154,39 @@ def _spy_sorts(monkeypatch):
 
 
 def test_orbit_sorts_one_layer_per_unit_moved(monkeypatch):
-    # the walk dedups one layer per unit of transport distance from m,
-    # so at most deg m times, never in canonical order, and hands back
-    # its distinct rows in the narrow type it holds them in.  With every
-    # layer on arrays, each dedup sorts the words of the narrow rows
+    # past the bound, the walk dedups one layer per unit of transport
+    # distance from m, so at most deg m times, each by a sort over the
+    # words of its narrow rows, and then sorts its rows once into
+    # canonical order.  Within the bound the sums come out in that order
+    # on python ints: no dedup and no sort of an array.  Both hand back
+    # the same distinct rows, in the narrow type that holds deg m
     dedups = _spy_dedups(monkeypatch)
     sorts = _spy_sorts(monkeypatch)
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
     m = parse_monomial("x8^4", 8)
+    assert engine.closure_bound(chain, m) == 330 <= engine._SUM_BOUND
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "_INT_LAYER_CANDIDATES", 0)
-        rows = engine._orbit_rows(chain, m)
+        patch.setattr(engine, "_SUM_BOUND", 0)
+        rows = engine._closure_rows(chain, m)
+    assert dedups == [np.int8] * 4 and sorts == [(np.int8, True)]
     assert rows.shape == (330, 8) and rows.dtype == np.int8
-    assert np.unique(rows, axis=0).shape == rows.shape
-    assert dedups == [np.int8] * 4 and sorts == []
-    # by default the layers of fewer candidates than the threshold, rows
-    # times the 7 moves, are deduped as sets of ints: layer r has
-    # C(r + 6, 6) rows, and the arrays dedup each layer past the first
-    # that reaches the threshold
+    assert np.array_equal(rows, np.unique(rows, axis=0)[::-1])
     dedups.clear()
-    handover = next(r for r in range(5) if 7 * math.comb(r + 6, 6)
-                    >= engine._INT_LAYER_CANDIDATES)
-    assert 0 < handover < 4
-    again = engine._orbit_rows(chain, m)
-    assert dedups == [np.int8] * (4 - handover) and sorts == []
-    assert again.dtype == np.int8
-    assert np.array_equal(monomials.canonical_rows(again), monomials.canonical_rows(rows))
+    sorts.clear()
+    sums = engine._closure_rows(chain, m)
+    assert dedups == [] and sorts == []
+    assert sums.dtype == np.int8 and np.array_equal(sums, rows)
 
 
 def test_closure_is_sorted_once_and_not_minimalized(monkeypatch):
-    # the walk's rows are distinct and of one degree, so the ideal sorts
-    # them once in their narrow type and keeps them all: equal to what
-    # the full constructor makes of them, int64 and read-only
+    # a closure's rows are distinct, of one degree and in canonical
+    # order, so the ideal neither sorts nor minimalizes them: the sums
+    # sort no array, and the walk sorts its rows once.  The ideal equals
+    # what the full constructor makes of the rows, int64 and read-only
     seen = _spy_sorts(monkeypatch)
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
     m = parse_monomial("x8^4", 8)
-    rows = engine._orbit_rows(chain, m)
+    rows = engine._closure_rows(chain, m)
     seen.clear()
 
     def minimal_rows(rows):
@@ -198,22 +195,29 @@ def test_closure_is_sorted_once_and_not_minimalized(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(monomials, "_minimal_rows", minimal_rows)
         I = generate_principal(chain, m)
-        assert seen == [(np.int8, True)]
         sf = generate_sf_principal(chain, parse_monomial("x2*x5*x8", 8))
+        assert seen == []
+        patch.setattr(engine, "_SUM_BOUND", 0)
+        assert generate_principal(chain, m) == I
+        assert seen == [(np.int8, True)]
+        assert generate_sf_principal(chain, parse_monomial("x2*x5*x8", 8)) == sf
     assert I == MonomialIdeal(rows, 8) == MonomialIdeal(rows[::-1], 8)
     assert I.gens.dtype == np.int64 and not I.gens.flags.writeable
+    assert I.gens.flags.c_contiguous
     assert sf.generator_strings()[0] == "x1*x2*x3" and len(sf) == 30
 
 
 def test_orbit_on_minimal_elements_is_the_monomial(monkeypatch, q11):
-    # x1, x3, x6 and x7 have nothing below them, so no move applies:
-    # the walk hands back m itself and dedups nothing
+    # x1, x3, x6 and x7 have nothing below them, so the closure bound is
+    # 1 and no move applies: the route hands back m itself and dedups
+    # nothing
     def no_dedup(rows):
         raise AssertionError("a move-free orbit was deduped")
 
     monkeypatch.setattr(engine, "_distinct_words", no_dedup)
     m = parse_monomial("x1^2*x3*x6", 11)
-    rows = engine._orbit_rows(q11, m)
+    assert engine.closure_bound(q11, m) == 1
+    rows = engine._closure_rows(q11, m)
     assert rows.shape == (1, 11) and np.array_equal(rows[0], m)
     assert generate_principal(q11, m).generator_strings() == ["x1^2*x3*x6"]
     sf = generate_sf_principal(q11, parse_monomial("x1*x3*x7", 11))
@@ -223,11 +227,13 @@ def test_orbit_on_minimal_elements_is_the_monomial(monkeypatch, q11):
 
 
 def test_orbit_walk_memory_is_bounded():
-    # x8^10 on an 8-chain has 19,448 rows, 156 kB at one byte a cell; the
-    # walk's peak, layers and children included, was measured at 1.65 MB
+    # x8^10 on an 8-chain has 19,448 rows, 156 kB at one byte a cell, and
+    # its bound sends it to the walk; the walk's peak, layers, children
+    # and the final sort included, was measured at 1.65 MB
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
     m = parse_monomial("x8^10", 8)
-    assert _peak_bytes(lambda: engine._orbit_rows(chain, m)) < 2.5e6
+    assert engine.closure_bound(chain, m) == 19448 > engine._SUM_BOUND
+    assert _peak_bytes(lambda: engine._closure_rows(chain, m)) < 2.5e6
 
 
 def test_closure_past_the_range_overflows(monkeypatch):
@@ -246,12 +252,17 @@ def test_closure_past_the_range_overflows(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [127, 128, 255, 256])
-def test_orbit_holds_exponents_past_a_narrow_type(d):
-    # deg m picks the type the walk holds its rows in; the exponents at
-    # either side of a type's limit must come back intact
-    rows = engine._orbit_rows(Poset(2, [(1, 2)]), np.array([0, d], np.int64))
-    assert sorted(rows[:, 0].tolist()) == list(range(d + 1))
-    assert (rows.sum(axis=1) == d).all()
+def test_orbit_holds_exponents_past_a_narrow_type(monkeypatch, d):
+    # deg m picks the type the sums and the walk hold their rows in; the
+    # exponents at either side of a type's limit must come back intact
+    chain = Poset(2, [(1, 2)])
+    m = np.array([0, d], np.int64)
+    assert engine.closure_bound(chain, m) == d + 1 <= engine._SUM_BOUND
+    for bound in (0, engine._SUM_BOUND):
+        monkeypatch.setattr(engine, "_SUM_BOUND", bound)
+        rows = engine._closure_rows(chain, m)
+        assert rows[:, 0].tolist() == list(range(d, -1, -1))
+        assert (rows.sum(axis=1) == d).all()
 
 
 def test_transversal_factorization(q11, m49, q3, m23):
@@ -310,13 +321,34 @@ def test_certificate_needs_no_closure(monkeypatch):
     def no_orbit(*args, **kwargs):
         raise AssertionError("the certificate generated the closure")
 
-    monkeypatch.setattr(engine, "_orbit_rows", no_orbit)
+    monkeypatch.setattr(engine, "_closure_rows", no_orbit)
     moves = move_certificate(chain, parse_monomial("x14^12", 14),
                              parse_monomial("x1^12", 14))
     assert [repr(mv) for mv in moves] == ["x14 -> x1"] * 12
     with pytest.raises(ValueError):
         move_certificate(chain, parse_monomial("x1^12", 14),
                          parse_monomial("x14^12", 14))
+
+
+def test_closure_bound_generates_nothing(monkeypatch, q11):
+    # the bound multiplies the counts of degree-a_i monomials on each
+    # down-set A_i: C(25, 12) for x14^12 on a 14-chain, where it is
+    # exact, read off the factorization without building any row
+    chain = Poset(14, [(k, k + 1) for k in range(1, 14)])
+
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("the bound generated the closure")
+
+    monkeypatch.setattr(engine, "_closure_rows", no_orbit)
+    monkeypatch.setattr(engine, "_walk_rows", no_orbit)
+    assert engine.closure_bound(chain, parse_monomial("x14^12", 14)) == math.comb(25, 12) == 5200300
+    # on q11 the down-sets of x2, x5 and x11 have 2, 5 and 6 elements:
+    # C(4, 3) * C(7, 3) * C(8, 3), against 5,320 generators
+    m = parse_monomial("x2^3*x5^3*x11^3", 11)
+    assert [(len(A), a) for A, a in transversal_factorization(q11, m)] == [(2, 3), (5, 3), (6, 3)]
+    assert engine.closure_bound(q11, m) == 4 * 35 * 56 == 7840
+    with pytest.raises(ValueError):
+        engine.closure_bound(q11, np.zeros(11, np.int64))
 
 
 def test_certificate_builds_one_move_per_pair(count_calls):

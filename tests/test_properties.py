@@ -103,7 +103,7 @@ def test_transport_plan_matches_the_orbit(inst, shift):
 
 
 def orbit_rows_bfs(poset, m, squarefree_only=False):
-    # plain breadth-first reference for engine._orbit_rows: every legal
+    # plain breadth-first reference for engine._closure_rows: every legal
     # move from every new monomial, a set of seen rows, one layer a round
     moves = [(i, j) for i in range(1, poset.n + 1)
              for j in range(1, poset.n + 1) if i != j and poset.leq(j, i)]
@@ -137,9 +137,10 @@ def orbit_rows_bfs(poset, m, squarefree_only=False):
 @given(instances(max_n=7, max_deg=4), st.booleans(), st.data())
 def test_level_walk_matches_the_bfs(inst, squarefree_only, data):
     # the walk makes only the moves that take a row one unit further
-    # from m, one layer of transport distance at a time; it must reach
-    # the breadth-first orbit and list no row twice.  The labels are
-    # shuffled so that they need not follow the order
+    # from m, one layer of transport distance at a time, and the sums
+    # take one degree-a_i monomial on each down-set A_i; both must give
+    # the breadth-first orbit.  The labels are shuffled so that they
+    # need not follow the order
     poset, m = inst
     perm = data.draw(st.permutations(range(poset.n)))
     poset = Poset(poset.n, [(perm[j - 1] + 1, perm[i - 1] + 1)
@@ -149,18 +150,33 @@ def test_level_walk_matches_the_bfs(inst, squarefree_only, data):
 
 
 def _walk_matches_the_bfs(poset, m, squarefree_only):
-    # with every layer on arrays, with the default hand-over from ints
-    # to arrays, and with every layer on ints
+    # with every closure past the bound on the walk, with the default
+    # bound, and with every closure on the sums: the distinct rows of
+    # the orbit, already in canonical order, each time.  A square-free
+    # closure is asked of a square-free m, as generate_sf_principal asks
+    if squarefree_only:
+        m = np.minimum(m, 1)
     want = monomials.canonical_rows(orbit_rows_bfs(poset, m, squarefree_only))
-    for threshold in (0, engine._INT_LAYER_CANDIDATES, 1 << 62):
+    for bound in (0, engine._SUM_BOUND, 1 << 62):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_INT_LAYER_CANDIDATES", threshold)
-            rows = engine._orbit_rows(poset, m, squarefree_only)
-        assert rows.shape[1] == poset.n
-        walk = monomials.canonical_rows(rows)
-        assert walk.shape == rows.shape
-        assert np.array_equal(walk, want)
+            patch.setattr(engine, "_SUM_BOUND", bound)
+            rows = engine._closure_rows(poset, m, squarefree_only)
+        assert rows.shape == want.shape
+        assert np.array_equal(rows, want)
     return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_n=7, max_deg=4), st.booleans())
+def test_closure_bound_covers_the_closure(inst, squarefree_only):
+    # every generator is a sum of one degree-a_i monomial on each A_i,
+    # so no closure, full or square-free, outgrows the bound
+    poset, m = inst
+    bound = engine.closure_bound(poset, m)
+    assert bound >= len(engine.generate_principal(poset, m))
+    if squarefree_only:
+        m = np.minimum(m, 1)
+        assert engine.closure_bound(poset, m) >= len(engine.generate_sf_principal(poset, m))
 
 
 @pytest.mark.parametrize("n, m, squarefree_only", [
@@ -168,12 +184,14 @@ def _walk_matches_the_bfs(poset, m, squarefree_only):
     (9, [0, 1, 0, 1, 0, 1, 0, 1, 1], True),
 ])
 def test_walk_handed_over_mid_walk_matches_the_bfs(n, m, squarefree_only):
-    # on a chain these walks take their first layers on ints and, by
-    # default, their last ones on arrays; the arrays must go on from the
-    # last int layer, with every row before it kept
+    # on a chain the bound hands the first closure to the sums (420 =
+    # 1 * 2 * C(10, 4)) and the square-free one to the walk (3,456 =
+    # 2 * 4 * 6 * 8 * 9); by default only the walk dedups, one layer per
+    # unit moved, and x1*x3*x5*x6*x7 lies 4 units from x2*x4*x6*x8*x9
     chain = Poset(n, [(i, i + 1) for i in range(1, n)])
     m = np.array(m, np.int64)
     _walk_matches_the_bfs(chain, m, squarefree_only)
+    assert (engine.closure_bound(chain, m) > engine._SUM_BOUND) == squarefree_only
     seen = []
     real = engine._distinct_words
 
@@ -183,17 +201,18 @@ def test_walk_handed_over_mid_walk_matches_the_bfs(n, m, squarefree_only):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_distinct_words", spy)
-        engine._orbit_rows(chain, m, squarefree_only)
-    assert 0 < len(seen) < int(m.sum())
+        engine._closure_rows(chain, m, squarefree_only)
+    assert len(seen) == (4 if squarefree_only else 0)
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17])
 @settings(max_examples=15, deadline=None)
 @given(st.data(), st.booleans())
 def test_walk_on_several_words_matches_the_bfs(n, data, squarefree_only):
-    # int8 rows of 8 columns fill one 8-byte word; 9, 16 and 17 columns
-    # are padded to two, two and three, and the dedup must tell rows
-    # apart on any of their words
+    # the walk's int8 rows of 8 columns fill one 8-byte word; 9, 16 and
+    # 17 columns are padded to two, two and three, and the dedup must
+    # tell rows apart on any of their words.  The sums hold each row as
+    # one int of n fields
     poset, m = data.draw(instances(min_n=n, max_n=n, max_deg=4))
     _walk_matches_the_bfs(poset, m, squarefree_only)
 
@@ -286,7 +305,8 @@ def _staircase_at_each_split(I):
 @given(ideals())
 def test_staircase_matches_the_walk(I):
     # any ideal, embedded primes included: the grid route must give the
-    # walk's primes and the walk's first witness for each, in its order
+    # walk's primes and, for each, the same lex-least top witness, in
+    # the same order
     assume(not I.is_unit())
     by_grid = _primes_and_witnesses(I)
     assert _staircase_at_each_split(I) == by_grid
@@ -382,15 +402,36 @@ def test_route_property_catches_a_dropped_witness(monkeypatch):
 
 def test_sf_spread_check_catches_a_short_search(monkeypatch, q6, m1236):
     assert verify.check_sf_spread(q6, m1236) == []
-    real = engine._orbit_rows
+    real = engine._closure_rows
 
     def drop_one_row(poset, m, squarefree_only=False):
         rows = real(poset, m, squarefree_only)
         return rows[:-1] if squarefree_only else rows
 
-    monkeypatch.setattr(engine, "_orbit_rows", drop_one_row)
+    monkeypatch.setattr(engine, "_closure_rows", drop_one_row)
     fails = verify.check_sf_spread(q6, m1236)
     assert any("square-free search" in msg for msg in fails)
+
+
+def test_transversal_check_catches_a_short_sum(monkeypatch, q11):
+    # at verify's sizes generate_principal takes the sums over the
+    # factorization that the check expands, so the check also compares
+    # it with the move walk; a sum that drops a row must fail there
+    m = np.zeros(11, np.int64)
+    m[[3, 8]] = 1, 2
+    assert verify.check_transversal(q11, m) == []
+    assert verify.run_suite(0, 5, 7, 4, ["transversal-expansion"])[0].passed == 5
+    real = engine._closure_rows
+
+    def drop_one_row(poset, m, squarefree_only=False):
+        rows = real(poset, m, squarefree_only)
+        return rows[:-1] if len(rows) > 1 else rows
+
+    monkeypatch.setattr(engine, "_closure_rows", drop_one_row)
+    fails = verify.check_transversal(q11, m)
+    assert any("move walk" in msg for msg in fails)
+    report = verify.run_suite(0, 5, 7, 4, ["transversal-expansion"])[0]
+    assert report.passed < 5 and any("move walk" in msg for msg in report.failures)
 
 
 def test_draw_instance_pinned():
