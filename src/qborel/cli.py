@@ -16,9 +16,16 @@ item, is matched against that declaration in one pass and never
 reaches argparse's parser.  Every other call (help, "-d=2", an
 abbreviated option, a usage error) goes to argparse unchanged, so it
 parses as before; usage errors keep argparse's text and exit code 2.
-The match pays off for a caller that makes many calls in one
-process; a process that makes one call spends its time starting the
-interpreter and importing, either way.
+
+The prologue of a query call (match, poset file, monomial) is one
+pass each.  In-process, on an 8-element poset (2 vCPUs, Python 3.11,
+best of 9 x 5,000), a call whose query returns nothing takes 24-29 us:
+the match 3 us, load_poset 13-18 us (4 of them reading the file) and
+parse_monomial 3 us.  Reading the file in text mode, parsing each
+relation token by token and keeping the covers beside the down-sets,
+the same call took 47-59 us, load_poset 26-34 us of it.  A process
+that makes one call spends about 200 ms starting the interpreter and
+importing, either way.
 """
 
 import argparse

@@ -87,8 +87,22 @@ def _distinct_words(rows):
 
 
 def _factors(poset, mm):
-    """(A_i, a_i) over the support of the exponent list mm, ascending."""
-    return [(poset.down_closure({i}), e) for i, e in enumerate(mm, 1) if e]
+    """(A_i, a_i) over the support of the exponent list mm, ascending.
+
+    Each A_i is an ascending list of indices.
+    """
+    return [(poset.down_set(i), e) for i, e in enumerate(mm, 1) if e]
+
+
+def _narrow_type(degree):
+    """The narrowest signed type that holds -1 - degree, and so degree."""
+    if degree < 1 << 7:
+        return np.dtype(np.int8)
+    if degree < 1 << 15:
+        return np.dtype(np.int16)
+    if degree < 1 << 31:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
 
 
 def _bound(factors):
@@ -103,7 +117,7 @@ def closure_bound(poset, m):
     those; the bound is exact for a power of one variable on a chain.
     Nothing is generated.
     """
-    return _bound(transversal_factorization(poset, m))
+    return _bound(_factors(poset, closure_monomial(poset, m).tolist()))
 
 
 # Up to this closure_bound a closure is built as sums on python ints;
@@ -147,9 +161,9 @@ def _closure_rows(poset, m, squarefree_only=False):
     if bound > _SUM_BOUND:
         return _walk_rows(poset, m, squarefree_only)
     n = poset.n
-    dtype = np.min_scalar_type(-1 - sum(mm))
+    dtype = _narrow_type(sum(mm))
     b = 8 * dtype.itemsize
-    tables = [_degree_sums([1 << b * (n - j) for j in sorted(members)], a)
+    tables = [_degree_sums([1 << b * (n - j) for j in members], a)
               for members, a in factors]
     acc = tables[0]
     for table in tables[1:]:
@@ -180,10 +194,10 @@ def _walk_rows(poset, m, squarefree_only=False):
     # dividing m to x_dst below it
     mm = m.tolist()
     moves = np.array([(j - 1, i - 1) for i, e in enumerate(mm, 1) if e
-                      for j in poset.down_closure({i}) if j != i],
+                      for j in poset.down_set(i) if j != i],
                      dtype=np.intp).reshape(-1, 2)
     n = poset.n
-    dtype = np.min_scalar_type(-1 - sum(mm))
+    dtype = _narrow_type(sum(mm))
     width = -(-n * dtype.itemsize // 8) * 8 // dtype.itemsize
     layer = np.zeros((1, width), dtype)
     layer[0, :n] = mm
@@ -235,7 +249,8 @@ def transversal_factorization(poset, m):
     A_i is the down closure of {i}; the closure ideal is the product of
     the primes on A_i raised to a_i.
     """
-    return _factors(poset, closure_monomial(poset, m).tolist())
+    return [(frozenset(members), a)
+            for members, a in _factors(poset, closure_monomial(poset, m).tolist())]
 
 
 def expand_factorization(factors, nvars):

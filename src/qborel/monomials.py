@@ -7,6 +7,7 @@ with entries 1 and 2 at positions 4 and 9.
 """
 
 import functools
+import numbers
 import re
 
 import numpy as np
@@ -30,8 +31,7 @@ def _check_range(arr):
 
     One reduction decides both: the bitwise or of the entries is
     negative iff some entry is, and otherwise reaches the power of two
-    _EXPONENT_LIMIT iff some entry does.  It holds for the python ints
-    of an object array too.
+    _EXPONENT_LIMIT iff some entry does.
     """
     if arr.size:
         bits = np.bitwise_or.reduce(arr, axis=None)
@@ -43,7 +43,12 @@ def _check_range(arr):
 
 def monomial(exponents):
     """Validate and copy an exponent sequence into a monomial."""
-    m = np.array(exponents, dtype=np.int64)
+    arr = np.array(exponents)
+    # numpy ints pass; an object array holds python ints past int64
+    if arr.dtype.kind not in "biu" and arr.size and not (
+            arr.dtype == object and all(isinstance(v, numbers.Integral) for v in arr.flat)):
+        raise ValueError("exponents must be integers")
+    m = arr.astype(np.int64, copy=False)
     if m.ndim != 1:
         raise ValueError("a monomial is a flat exponent vector")
     _check_range(m)
@@ -54,21 +59,22 @@ def parse_monomial(text, nvars):
     """Parse 'x4*x9^2' into an exponent vector; '1' is the empty product."""
     s = text.strip()
     # python ints, so a huge exponent reaches the range check intact
-    exps = np.zeros(nvars, dtype=object)
-    if s == "1":
-        return exps.astype(np.int64)
-    for term in s.split("*"):
-        t = term.strip()
-        mt = _TERM_RE.fullmatch(t)
-        if mt is None:
-            raise ParseError(f"bad monomial term {t!r}")
-        idx = int(mt.group(1))
-        exp = int(mt.group(2)) if mt.group(2) else 1
-        if not 1 <= idx <= nvars:
-            raise ParseError(f"variable x{idx} out of range 1..{nvars}")
-        exps[idx - 1] += exp
-    _check_range(exps)
-    return exps.astype(np.int64)
+    exps = [0] * nvars
+    if s != "1":
+        for term in s.split("*"):
+            t = term.strip()
+            mt = _TERM_RE.fullmatch(t)
+            if mt is None:
+                raise ParseError(f"bad monomial term {t!r}")
+            idx = int(mt[1])
+            exp = int(mt[2]) if mt[2] else 1
+            if not 1 <= idx <= nvars:
+                raise ParseError(f"variable x{idx} out of range 1..{nvars}")
+            exps[idx - 1] += exp
+        # the pattern reads no sign, so no exponent is negative
+        if max(exps) >= _EXPONENT_LIMIT:
+            raise OverflowError("exponent exceeds the supported range")
+    return np.array(exps, dtype=np.int64)
 
 
 def format_monomial(m):

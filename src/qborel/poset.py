@@ -1,6 +1,7 @@
 """Finite posets on variable indices 1..n, plus small undirected graphs."""
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -8,61 +9,74 @@ from .errors import ParseError
 
 
 class Poset:
-    """Partial order on {x_1, ..., x_n} stored by its Hasse covers.
+    """Partial order on {x_1, ..., x_n}, held only by its down-sets.
 
     The constructor accepts any acyclic set of strict relations (j, i),
-    read as x_j < x_i, closes them transitively and keeps only the cover
-    relations, so equivalent inputs produce identical posets.  The
-    down-set of x_i, itself included, is held as the int bitmask
-    _down[i - 1] with bit j - 1 set for each x_j <= x_i; every query
-    reads the order from these bitmasks, and only this module knows them.
+    read as x_j < x_i, with integer entries, and closes them
+    transitively.  The down-set of x_i, itself included, is held as the
+    int bitmask _down[i - 1] with bit j - 1 set for each x_j <= x_i;
+    every query reads the order from these bitmasks, and only this
+    module knows them.  The Hasse covers are derived from the bitmasks
+    on each read.  Equality and hashing read (n, _down): one order has
+    one set of down-sets and one set of covers, so equivalent inputs
+    produce equal posets.
     """
 
-    __slots__ = ("n", "covers", "_down")
+    __slots__ = ("n", "_down")
 
     def __init__(self, n, relations=()):
-        n = int(n)
+        n = _integer_entry(n, "ground set size")
         if n < 0:
             raise ValueError("ground set size must be nonnegative")
-        below = [0] * n  # bitmasks of the given lower neighbours
+        down = [1 << i for i in range(n)]
         above = [[] for _ in range(n)]
         wait = [0] * n
         for j, i in relations:
-            j, i = int(j), int(i)
+            if type(j) is not int or type(i) is not int:
+                j = _integer_entry(j, "relation entry")
+                i = _integer_entry(i, "relation entry")
             if not (0 < j <= n and 0 < i <= n):
                 raise ValueError(f"relation ({j}, {i}) out of range 1..{n}")
             if j == i:
                 raise ValueError(f"relation ({j}, {i}) is reflexive")
-            below[i - 1] |= 1 << (j - 1)
             above[j - 1].append(i - 1)
             wait[i - 1] += 1
-        # close in topological order.  Once every relation into x_j has
-        # been passed along, beneath[j] holds what lies strictly below
-        # x_j's given lower neighbours, so the given relations outside
-        # it are the covers
-        beneath = [0] * n
+        # close in topological order: once every relation into x_j has
+        # been passed along, down[j] is final and flows to what lies above
         done = [i for i in range(n) if not wait[i]]
         for j in done:
-            strict = below[j] | beneath[j]
             for i in above[j]:
-                beneath[i] |= strict
+                down[i] |= down[j]
                 wait[i] -= 1
                 if not wait[i]:
                     done.append(i)
         if len(done) < n:
             raise ValueError("relations contain a cycle")
         self.n = n
-        self.covers = frozenset(
-            (j, i + 1)
-            for i in range(n) for j in _members(below[i] & ~beneath[i]))
-        self._down = tuple(below[i] | beneath[i] | 1 << i for i in range(n))
+        self._down = tuple(down)
+
+    @property
+    def covers(self):
+        """The Hasse covers (j, i): x_j < x_i with nothing strictly between.
+
+        x_j is covered by x_i iff it lies strictly below x_i and strictly
+        below no x_k that lies strictly below x_i.
+        """
+        strict = [d ^ 1 << i for i, d in enumerate(self._down)]
+        out = []
+        for i, below in enumerate(strict):
+            inner = 0
+            for k in _indices(below):
+                inner |= strict[k - 1]
+            out += [(j, i + 1) for j in _indices(below & ~inner)]
+        return frozenset(out)
 
     def __eq__(self, other):
         return (isinstance(other, Poset)
-                and self.n == other.n and self.covers == other.covers)
+                and self.n == other.n and self._down == other._down)
 
     def __hash__(self):
-        return hash((self.n, self.covers))
+        return hash((self.n, self._down))
 
     def __repr__(self):
         cov = sorted(self.covers)
@@ -80,6 +94,11 @@ class Poset:
 
     def lt(self, j, i):
         return j != i and self.leq(j, i)
+
+    def down_set(self, i):
+        """The indices j with x_j <= x_i, ascending, as a list."""
+        self._check_index(i)
+        return _indices(self._down[i - 1])
 
     def down_closure(self, members):
         """All indices below some member, members included."""
@@ -177,6 +196,14 @@ class Poset:
         return InducedPoset(Poset(len(labels), rels), labels)
 
 
+def _integer_entry(value, what):
+    """value as a python int; numpy ints pass, 1.9 or '3' do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} is not an integer: {value!r}") from None
+
+
 def _find(into, c):
     """Root of c in the merge forest into, halving the path to it."""
     while into[c] != c:
@@ -185,14 +212,19 @@ def _find(into, c):
     return c
 
 
-def _members(mask):
-    """The 1-based indices of the set bits of a bitmask."""
+def _indices(mask):
+    """The 1-based indices of the set bits of a bitmask, ascending."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length())
         mask ^= low
-    return frozenset(out)
+    return out
+
+
+def _members(mask):
+    """The 1-based indices of the set bits of a bitmask, as a frozenset."""
+    return frozenset(_indices(mask))
 
 
 @dataclass(frozen=True)
@@ -257,33 +289,53 @@ def _integer(text):
     return int(text)
 
 
-def _relation_token(tok, lineno):
-    tok = tok.strip()
-    if tok.startswith("x"):
-        tok = tok[1:]
-    try:
-        return _integer(tok)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected a variable index, got {tok!r}") from None
+# one relation line 'j < i', each index optionally led by 'x'.  Space
+# after an 'x' stays in the group, where the token reading of
+# _relation_error leaves it for int()
+_RELATION_RE = re.compile(r"\s*x?(\s*[+-]?[0-9]+)\s*<\s*x?(\s*[+-]?[0-9]+)\s*")
+
+
+def _relation_error(ln, lineno):
+    """The ParseError for a line that is not a relation."""
+    parts = ln.split("<")
+    if len(parts) != 2:
+        return ParseError(f"line {lineno}: expected 'j < i', got {ln!r}")
+    for tok in parts:
+        tok = tok.strip()
+        if tok.startswith("x"):
+            tok = tok[1:]
+        try:
+            _integer(tok)
+        except ValueError:
+            return ParseError(f"line {lineno}: expected a variable index, got {tok!r}")
 
 
 def poset_from_text(text):
     """Parse the line format: n, then one 'j < i' per line; '#' starts a comment."""
-    lines = [(k + 1, ln.partition("#")[0].strip()) for k, ln in enumerate(text.splitlines())]
-    lines = [(k, ln) for k, ln in lines if ln]
-    if not lines:
-        raise ParseError("empty poset description")
-    lineno, head = lines[0]
-    try:
-        n = _integer(head)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected the ground set size, got {head!r}") from None
+    n = None
     rels = []
-    for lineno, ln in lines[1:]:
-        parts = ln.split("<")
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'j < i', got {ln!r}")
-        rels.append((_relation_token(parts[0], lineno), _relation_token(parts[1], lineno)))
+    for lineno, ln in enumerate(text.splitlines(), 1):
+        ln = ln.partition("#")[0].strip()
+        if not ln:
+            continue
+        if n is None:
+            try:
+                n = _integer(ln)
+            except ValueError:
+                raise ParseError(f"line {lineno}: expected the ground set size, got {ln!r}") from None
+            continue
+        rel = _RELATION_RE.fullmatch(ln)
+        if rel is not None:
+            try:
+                rels.append((int(rel[1]), int(rel[2])))
+                continue
+            except ValueError:
+                # int() refuses the separators \x1c-\x1f, which \s
+                # matches, before a digit: 'x\x1f1' is no index
+                pass
+        raise _relation_error(ln, lineno)
+    if n is None:
+        raise ParseError("empty poset description")
     try:
         return Poset(n, rels)
     except ValueError as exc:
@@ -303,12 +355,13 @@ def poset_from_json(text):
     # JSON true and false load as bool, which is an int subclass
     if type(n) is not int:
         raise ParseError("'n' must be an integer")
-    if not isinstance(covers, list) or any(
-            not isinstance(c, list) or len(c) != 2
-            or not all(type(v) is int for v in c) for c in covers):
+    if type(covers) is not list:
         raise ParseError("'covers' must be a list of [lower, upper] pairs")
+    for c in covers:
+        if type(c) is not list or len(c) != 2 or type(c[0]) is not int or type(c[1]) is not int:
+            raise ParseError("'covers' must be a list of [lower, upper] pairs")
     try:
-        return Poset(n, [tuple(c) for c in covers])
+        return Poset(n, covers)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -321,10 +374,19 @@ def parse_poset(text):
 
 
 def load_poset(path):
-    """Read and parse a poset file."""
+    """Read and parse a poset file, UTF-8 with or without a byte-order mark.
+
+    CRLF and lone CR line ends read as LF, as in text mode.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"poset file is not UTF-8: {exc}") from None
+    # the mark is dropped after decoding, so an error's position counts it
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_poset(text)

@@ -368,6 +368,24 @@ def test_non_utf8_poset_exits_2(capsys, tmp_path):
     assert err.startswith("error: poset file is not UTF-8")
 
 
+@pytest.mark.parametrize("data, err", [
+    # the JSON decoder counts characters after CRLF reads as LF
+    (b'{"n": 3,\r\n "covers": [[1, 3]\r\n}\r\n',
+     "error: invalid JSON: Expecting ',' delimiter: line 3 column 1 (char 28)\n"),
+    (b"3\n1 < 3\n\xff 2 < 3\n",
+     "error: poset file is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 8:"
+     " invalid start byte\n"),
+    # a byte-order mark counts in the position
+    (b"\xef\xbb\xbf3\n1 < 3\n\xff",
+     "error: poset file is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 11:"
+     " invalid start byte\n"),
+])
+def test_unreadable_poset_file_messages(capsys, tmp_path, data, err):
+    path = tmp_path / "bad.poset"
+    path.write_bytes(data)
+    assert run_cli(capsys, "gen", str(path), "x3") == (cli.EXIT_PARSE, "", err)
+
+
 def _not_an_int(text):
     try:
         int(text)

@@ -78,6 +78,15 @@ def test_generate_rejects_unit(q3):
         generate_principal(q3, parse_monomial("x1*x2", 2))
 
 
+def test_generate_rejects_non_integral_exponents(q3):
+    # truncated, [0.5, 1, 0] would be x2 and [1.7, 1, 0] x1*x2
+    for m in ([0.5, 1, 0], [1.7, 1, 0], np.array([0.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            generate_principal(q3, m)
+    assert generate_principal(q3, np.array([0, 1, 1], np.uint8)).generator_strings() == [
+        "x1*x2", "x2*x3"]
+
+
 def test_generate_from_set(q11):
     # the degree-1 closure of x5 swallows the whole closure of x1*x2
     swallowed = generate_from_set(

@@ -66,13 +66,31 @@ def test_monomial_validation():
         monomial([1, -1])
     with pytest.raises(OverflowError):
         monomial([1 << 40])
+    with pytest.raises(OverflowError):
+        monomial([1 << 70])
+
+
+@pytest.mark.parametrize("bad", [[1.9, 0], [0.5, 1, 0], [1, 2.0], np.array([1.0, 2.0]),
+                                 ["1", "2"], [1, None]])
+def test_monomial_entries_must_be_integers(bad):
+    # np.array(bad, dtype=np.int64) would truncate 1.9 to 1
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        monomial(bad)
+
+
+def test_monomial_takes_numpy_and_python_ints():
+    for good in ([1, 2, 0], np.array([1, 2, 0], np.uint8), [np.int32(1), np.int64(2), 0],
+                 np.array([1, 2, 0], dtype=object), (True, 2, False)):
+        m = monomial(good)
+        assert m.dtype == np.int64 and m.tolist() == [1, 2, 0]
+    assert monomial([]).shape == (0,)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_range_check_names_a_negative_exponent_first(dtype):
     # one bitwise-or reduction decides both messages: a row holding both
     # a negative and an overflowing exponent is refused as negative, on
-    # int64 rows and on the python ints that parsing collects
+    # int64 rows and on an object array of python ints
     with pytest.raises(ValueError, match="exponents must be nonnegative"):
         _check_range(np.array([[3, -1], [1 << 40, 0]], dtype=dtype))
     _check_range(np.array([[(1 << 31) - 1, 0]], dtype=dtype))

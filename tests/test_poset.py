@@ -101,6 +101,8 @@ def _check_order(rng, n, rels):
     lt, covers = _order_by_pairs(n, rels)
     ground = range(1, n + 1)
     assert p.covers == covers
+    assert p == Poset(n, sorted(covers)) and hash(p) == hash(Poset(n, sorted(covers)))
+    assert all(p.down_set(b) == sorted(p.down_closure({b})) for b in ground)
     assert all(p.leq(a, b) == (a == b or (a, b) in lt)
                for a in ground for b in ground)
     assert p.minimal_elements() == {b for b in ground
@@ -156,6 +158,36 @@ def test_bad_relations_name_the_first_in_input_order(rels, message):
     with pytest.raises(ValueError) as exc:
         Poset(3, rels)
     assert str(exc.value) == message
+
+
+def test_entries_must_be_integers():
+    # int() would truncate 1.9 to 1 and read '3'
+    for n, rels, message in [
+            (3, [(1.9, 3)], "relation entry is not an integer: 1.9"),
+            (3, [(1, 3.0)], "relation entry is not an integer: 3.0"),
+            (2.7, [], "ground set size is not an integer: 2.7"),
+            ("3", [], "ground set size is not an integer: '3'")]:
+        with pytest.raises(ValueError) as exc:
+            Poset(n, rels)
+        assert str(exc.value) == message
+    p = Poset(np.int64(3), [(np.int32(1), np.uint8(3)), np.array([2, 3])])
+    assert p == Poset(3, [(1, 3), (2, 3)])
+    assert type(p.n) is int and repr(p) == "Poset(3, [(1, 3), (2, 3)])"
+
+
+def test_covers_are_read_off_the_order(q11):
+    assert q11.covers == {(1, 2), (1, 4), (2, 5), (4, 5), (3, 5),
+                          (6, 9), (7, 9), (9, 11), (8, 10), (10, 11)}
+    # the covers are derived on each read and cannot be assigned
+    with pytest.raises(AttributeError):
+        q11.covers = frozenset()
+
+
+def test_down_set_is_ascending(q11):
+    assert q11.down_set(9) == [6, 7, 9]
+    assert q11.down_set(3) == [3]
+    with pytest.raises(ValueError):
+        q11.down_set(12)
 
 
 def test_down_closure(q11):
@@ -256,6 +288,17 @@ def test_load_poset_files(data_dir, q11, q3, q6):
     assert load_poset(data_dir / "q11.json") == q11
     assert load_poset(data_dir / "q3.json") == q3
     assert load_poset(data_dir / "q6.txt") == q6
+
+
+@pytest.mark.parametrize("name", ["q6.txt", "q3.json"])
+@pytest.mark.parametrize("bom, end", [
+    (b"\xef\xbb\xbf", b"\n"), (b"", b"\r\n"), (b"", b"\r"), (b"\xef\xbb\xbf", b"\r\n")])
+def test_load_poset_reads_a_byte_order_mark_and_any_line_end(data_dir, tmp_path, name, bom, end):
+    from qborel import load_poset
+    original = (data_dir / name).read_bytes()
+    copy = tmp_path / name
+    copy.write_bytes(bom + original.replace(b"\n", end))
+    assert load_poset(copy) == load_poset(data_dir / name)
 
 
 def _peak_bytes(build):
