@@ -94,17 +94,6 @@ def _factors(poset, mm):
     return [(poset.down_set(i), e) for i, e in enumerate(mm, 1) if e]
 
 
-def _narrow_type(degree):
-    """The narrowest signed type that holds -1 - degree, and so degree."""
-    if degree < 1 << 7:
-        return np.dtype(np.int8)
-    if degree < 1 << 15:
-        return np.dtype(np.int16)
-    if degree < 1 << 31:
-        return np.dtype(np.int32)
-    return np.dtype(np.int64)
-
-
 def _bound(factors):
     return math.prod(math.comb(len(members) + a - 1, a) for members, a in factors)
 
@@ -161,7 +150,7 @@ def _closure_rows(poset, m, squarefree_only=False):
     if bound > _SUM_BOUND:
         return _walk_rows(poset, m, squarefree_only)
     n = poset.n
-    dtype = _narrow_type(sum(mm))
+    dtype = monomials._narrow_type(sum(mm))
     b = 8 * dtype.itemsize
     tables = [_degree_sums([1 << b * (n - j) for j in members], a)
               for members, a in factors]
@@ -171,9 +160,7 @@ def _closure_rows(poset, m, squarefree_only=False):
             acc = {x + y for x in acc for y in table if not x & y}
         else:
             acc = {x + y for x in acc for y in table}
-    nbytes = n * dtype.itemsize
-    data = b"".join([u.to_bytes(nbytes, "little") for u in sorted(acc, reverse=True)])
-    return np.frombuffer(data, dtype).reshape(-1, n)[:, ::-1]
+    return monomials._unpack_rows(sorted(acc, reverse=True), n, dtype)
 
 
 def _walk_rows(poset, m, squarefree_only=False):
@@ -197,7 +184,7 @@ def _walk_rows(poset, m, squarefree_only=False):
                       for j in poset.down_set(i) if j != i],
                      dtype=np.intp).reshape(-1, 2)
     n = poset.n
-    dtype = _narrow_type(sum(mm))
+    dtype = monomials._narrow_type(sum(mm))
     width = -(-n * dtype.itemsize // 8) * 8 // dtype.itemsize
     layer = np.zeros((1, width), dtype)
     layer[0, :n] = mm

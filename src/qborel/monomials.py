@@ -18,6 +18,8 @@ from .errors import ParseError
 # Sums and differences of two in-range exponents stay well inside int64.
 _EXPONENT_LIMIT = 1 << 31
 
+_BOOLS = (bool, np.bool_)
+
 _TERM_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
 # Up to this many rows canonical_order sorts Python lists.  A lexsort
@@ -41,14 +43,36 @@ def _check_range(arr):
             raise OverflowError("exponent exceeds the supported range")
 
 
+def _check_entries(exponents, arr):
+    """Refuse bools and non-integers in what np.array read into arr.
+
+    A sequence of ints and bools converts to ints, so its entries are
+    read for bools; an object array holds python ints past int64.
+    Floats and strings fail, but an empty sequence reads as floats and
+    passes.
+    """
+    kind = arr.dtype.kind
+    if kind in "iu":
+        bad = arr.ndim == 1 and any(isinstance(v, _BOOLS) for v in exponents)
+    elif kind == "O":
+        bad = not all(isinstance(v, numbers.Integral) and not isinstance(v, _BOOLS)
+                      for v in arr.flat)
+    else:
+        bad = kind == "b" or arr.size
+    if bad:
+        raise ValueError("exponents must be integers")
+
+
 def monomial(exponents):
     """Validate and copy an exponent sequence into a monomial."""
-    arr = np.array(exponents)
-    # numpy ints pass; an object array holds python ints past int64
-    if arr.dtype.kind not in "biu" and arr.size and not (
-            arr.dtype == object and all(isinstance(v, numbers.Integral) for v in arr.flat)):
-        raise ValueError("exponents must be integers")
-    m = arr.astype(np.int64, copy=False)
+    # an int array passes on its type alone; anything else is read for
+    # entries that are not integers, bools among them
+    if type(exponents) is np.ndarray and exponents.dtype.kind in "iu":
+        m = exponents.astype(np.int64)
+    else:
+        arr = np.array(exponents)
+        _check_entries(exponents, arr)
+        m = arr.astype(np.int64, copy=False)
     if m.ndim != 1:
         raise ValueError("a monomial is a flat exponent vector")
     _check_range(m)
@@ -168,6 +192,28 @@ def restrict(m, members):
     out = np.zeros_like(m)
     out[keep] = m[keep]
     return out
+
+
+def _narrow_type(degree):
+    """The narrowest signed type that holds -1 - degree, and so degree."""
+    if degree < 1 << 7:
+        return np.dtype(np.int8)
+    if degree < 1 << 15:
+        return np.dtype(np.int16)
+    if degree < 1 << 31:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
+
+
+def _unpack_rows(keys, n, dtype):
+    """The rows packed in python ints, column c in the field at b * (n - 1 - c).
+
+    b is the width in bits of dtype, and every field holds a nonnegative
+    entry of dtype.  Descending keys give rows in descending lex order.
+    """
+    nbytes = n * dtype.itemsize
+    data = b"".join([u.to_bytes(nbytes, "little") for u in keys])
+    return np.frombuffer(data, dtype).reshape(-1, n)[:, ::-1]
 
 
 def canonical_order(rows, degs=None):

@@ -17,6 +17,15 @@ below some generator's or the lcm's, so its cost follows the distinct
 exponents of the generators, not their size.  Both routes return the
 same primes and, for each prime, the same witness: its lex-least top
 witness.
+
+Symbolic powers intersect the contractions of an ideal at its maximal
+associated primes.  When there are two or more, no two share a
+variable and the generators project to one degree on each, both read
+off the arrays and the prime sets, the intersection is built in one
+join: the sums of one distinct projection per prime, as packed python
+ints.  The maximal primes of a closure ideal, the components of its
+order ideal, always meet both conditions for its powers.  Any other
+primes are contracted one at a time and intersected pairwise by lcms.
 """
 
 import math
@@ -252,13 +261,89 @@ def intersect_contractions(I, primes):
     associated primes of J this is the d-th symbolic power of J.
     Contraction at a smaller prime only grows the ideal, so the
     inclusion-maximal primes give the same intersection.  No primes
-    give the unit ideal.
+    give the unit ideal.  Two or more pairwise disjoint primes, on each
+    of which the generators project to one degree, are joined by their
+    projections in one pass; any other primes are contracted one at a
+    time and intersected pairwise by lcms.
     """
+    return _intersect(I, _plan(primes, I.nvars))
+
+
+def _intersect_each(powers, primes):
+    """intersect_contractions of each ideal in powers, one plan for all."""
+    plan = None
+    out = []
+    for J in powers:
+        if plan is None or plan[0] != J.nvars:
+            plan = _plan(primes, J.nvars)
+        out.append(_intersect(J, plan))
+    return tuple(out)
+
+
+def _plan(primes, nvars):
+    """(nvars, the primes in the order they are intersected, columns).
+
+    The columns, one ascending list of 0-based positions per prime, are
+    read only for two or more primes, and kept only when no two of them
+    share a variable; otherwise they are None.
+    """
+    order = sorted(primes, key=sorted)
+    cols = None
+    if len(order) > 1:
+        cols = [monomials._positions(sorted(P), nvars) for P in order]
+        if sum(map(len, cols)) != len(set().union(*cols)):
+            cols = None
+    return nvars, order, cols
+
+
+def _intersect(I, plan):
+    _, order, cols = plan
+    if cols is not None and not I.is_zero():
+        out = _join(I, cols)
+        if out is not None:
+            return out
     out = None
-    for P in sorted(primes, key=sorted):
+    for P in order:
         piece = monomials.localize_contract(I, P)
         out = piece if out is None else monomials.intersection(out, piece)
     return MonomialIdeal.unit(I.nvars) if out is None else out
+
+
+def _join(I, cols):
+    """The intersection at disjoint primes as sums of their projections.
+
+    The contraction at P_j is generated by the projections of G(I) onto
+    the columns of P_j.  When those all have one degree, the distinct
+    ones are its minimal generators, and the contractions, on disjoint
+    variables, intersect to their product: its minimal generators are
+    the sums of one distinct projection per prime, all distinct and of
+    one degree.  A row is one python int, column c in the field at
+    b * (n - 1 - c) with b the width of the narrowest type that holds
+    every exponent, as in engine._closure_rows; the primes share no
+    field, so sums carry nothing, and descending sums are the canonical
+    order.  Returns None when some prime's projections have more than
+    one degree.  I is nonzero.
+    """
+    rows = I.gens.tolist()
+    n = I.nvars
+    dtype = monomials._narrow_type(max(map(max, rows)))
+    b = 8 * dtype.itemsize
+    sums = [0]
+    for c in cols:
+        fields = [(j, b * (n - 1 - j)) for j in c]
+        degs, keys = set(), set()
+        for r in rows:
+            d = k = 0
+            for j, s in fields:
+                d += r[j]
+                k |= r[j] << s
+            degs.add(d)
+            keys.add(k)
+        if len(degs) > 1:
+            return None
+        sums = [x + y for x in sums for y in keys]
+    sums.sort(reverse=True)
+    return MonomialIdeal(monomials._unpack_rows(sums, n, dtype), n, _one_degree=True)
 
 
 def symbolic_power_bruteforce(I, powers):
@@ -267,6 +352,11 @@ def symbolic_power_bruteforce(I, powers):
     Contracts each ordinary power of I in powers, such as
     monomials.powers(I, d), at the inclusion-maximal associated primes
     of one witness search on I and intersects; one ideal per power.
+    The primes are sorted and their columns read once for all the
+    powers.  The maximal primes of a closure ideal are the components
+    of its order ideal: pairwise disjoint, with the generators of each
+    power projecting to one degree on each, so those powers take the
+    join of intersect_contractions.
     """
     primes = _maximal_sets(associated_primes_bruteforce(I))
-    return tuple(intersect_contractions(J, primes) for J in powers)
+    return _intersect_each(powers, primes)

@@ -197,8 +197,11 @@ class Poset:
 
 
 def _integer_entry(value, what):
-    """value as a python int; numpy ints pass, 1.9 or '3' do not."""
+    """value as a python int; numpy ints pass, 1.9, '3' or True do not."""
     try:
+        # operator.index reads a python bool as 0 or 1; a numpy bool it refuses
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} is not an integer: {value!r}") from None

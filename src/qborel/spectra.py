@@ -63,10 +63,14 @@ def symbolic_power_contractions(poset, m, powers):
     Contracts each ordinary power of the closure ideal of m in powers,
     such as monomials.powers(I, d), at the maximal associated primes and
     intersects (see oracle.intersect_contractions); one ideal per power.
+    The primes, the components of the order ideal of m, are sorted and
+    their columns read once for all the powers.  They share no variable
+    and each power's generators project to one degree on each, so the
+    powers are joined by their projections, not intersected pairwise.
     Symbolic and ordinary powers of these ideals coincide.
     """
     primes = max_associated_primes(poset, m)
-    return tuple(oracle.intersect_contractions(J, primes) for J in powers)
+    return oracle._intersect_each(powers, primes)
 
 
 @dataclass(frozen=True)

@@ -71,16 +71,18 @@ def test_monomial_validation():
 
 
 @pytest.mark.parametrize("bad", [[1.9, 0], [0.5, 1, 0], [1, 2.0], np.array([1.0, 2.0]),
-                                 ["1", "2"], [1, None]])
+                                 ["1", "2"], [1, None], [True, 2], (True, 2, False),
+                                 [1, np.False_], np.array([True, False]), np.zeros(0, bool),
+                                 np.array([True, 1 << 70], dtype=object), True])
 def test_monomial_entries_must_be_integers(bad):
-    # np.array(bad, dtype=np.int64) would truncate 1.9 to 1
+    # np.array(bad, dtype=np.int64) would truncate 1.9 to 1 and read True as 1
     with pytest.raises(ValueError, match="exponents must be integers"):
         monomial(bad)
 
 
 def test_monomial_takes_numpy_and_python_ints():
     for good in ([1, 2, 0], np.array([1, 2, 0], np.uint8), [np.int32(1), np.int64(2), 0],
-                 np.array([1, 2, 0], dtype=object), (True, 2, False)):
+                 np.array([1, 2, 0], dtype=object)):
         m = monomial(good)
         assert m.dtype == np.int64 and m.tolist() == [1, 2, 0]
     assert monomial([]).shape == (0,)

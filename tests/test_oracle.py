@@ -3,20 +3,23 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qborel import (
     MonomialIdeal,
     format_monomial,
     generate_principal,
     intersect_contractions,
+    intersection,
     load_poset,
+    localize_contract,
     parse_monomial,
     power,
     powers,
     symbolic_power_bruteforce,
     variable_prime,
 )
-from qborel import _kernels, oracle
+from qborel import _kernels, monomials, oracle
 from qborel.oracle import associated_primes_bruteforce
 from test_poset import _peak_bytes
 from test_properties import _staircase_at_each_split, _top_witnesses_by_colons
@@ -258,3 +261,109 @@ def test_symbolic_bruteforce_contains_power_generally():
     # x1*x2*x3 is the classical witness of the gap
     assert sym.contains([1, 1, 1])
     assert not power(I, 2).contains([1, 1, 1])
+
+
+def _pairwise_fold(I, primes):
+    out = MonomialIdeal.unit(I.nvars)
+    for P in primes:
+        out = intersection(out, localize_contract(I, P))
+    return out
+
+
+# exponents at either side of each narrow type's limit
+_WIDE = st.sampled_from([1, 2, 3, 127, 128, 255, 32767, 32768, (1 << 31) - 1])
+
+
+@st.composite
+def _compositions(draw, total, parts):
+    """A row of nonnegative entries on the given number of parts, summing to total."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=parts - 1, max_size=parts - 1)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@st.composite
+def _block_products(draw):
+    """A product of ideals on disjoint variable blocks, and the blocks.
+
+    Each block's ideal has generators of one degree unless mixed is
+    drawn; the blocks, possibly with an empty one, are the primes.
+    """
+    n = draw(st.integers(1, 7))
+    labels = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=3)))
+    blocks = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    mixed = draw(st.booleans())
+    sums = [np.zeros(n, np.int64)]
+    for block in filter(None, blocks):
+        one = draw(_WIDE)
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            deg = draw(_WIDE) if mixed else one
+            row = np.zeros(n, np.int64)
+            row[np.array(block, np.intp) - 1] = draw(_compositions(deg, len(block)))
+            rows.append(row)
+        sums = [u + v for u in sums for v in rows]
+    I = MonomialIdeal(np.array(sums), n)
+    return I, frozenset(frozenset(b) for b in blocks), mixed
+
+
+@st.composite
+def _random_ideals(draw):
+    """Random generators, the zero and the unit ideal, under random primes."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["rows", "rows", "zero", "unit"]))
+    if kind == "zero":
+        rows = np.zeros((0, n), np.int64)
+    elif kind == "unit":
+        rows = np.zeros((1, n), np.int64)
+    else:
+        entry = st.one_of(st.integers(0, 3), _WIDE)
+        rows = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                      min_size=1, max_size=5)), np.int64)
+    primes = draw(st.frozensets(st.frozensets(st.integers(1, n)), max_size=4))
+    return MonomialIdeal(rows, n), primes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_block_products(), _random_ideals().map(lambda t: (*t, None))))
+def test_intersect_contractions_matches_the_pairwise_fold(case):
+    I, primes, mixed = case
+    want = _pairwise_fold(I, sorted(primes, key=sorted))
+    got = intersect_contractions(I, primes)
+    assert got == want
+    assert got.gens.dtype == np.int64 and not got.gens.flags.writeable
+    _, _, cols = oracle._plan(primes, I.nvars)
+    if mixed is False and cols is not None:
+        # one degree per block: the join builds the intersection itself
+        assert oracle._join(I, cols) == want
+
+
+def test_join_leaves_mixed_degrees_and_shared_variables_pairwise(count_calls):
+    calls, count = count_calls
+    count(monomials, "intersection")
+    # x1 and x2^2 project to two degrees on {1, 2}; {1, 2} and {2, 3} share x2
+    I = MonomialIdeal.from_strings(["x1*x3", "x2^2*x3"], 3)
+    assert oracle._join(I, oracle._plan(primes({1, 2}, {3}), 3)[2]) is None
+    assert oracle._plan(primes({1, 2}, {2, 3}), 3)[2] is None
+    for P in (primes({1, 2}, {3}), primes({1, 2}, {2, 3})):
+        assert intersect_contractions(I, P) == _pairwise_fold(I, sorted(P, key=sorted))
+    assert calls == {"intersection": 2}
+
+
+def test_symbolic_powers_at_disjoint_primes_intersect_nothing_pairwise(
+        q11, m49, count_calls):
+    # A(x4*x9^2) on q11 has the two components {1, 4} and {6, 7, 9}
+    calls, count = count_calls
+    count(monomials, "intersection")
+    count(monomials, "localize_contract")
+    I = generate_principal(q11, m49)
+    chain = powers(I, 3)
+    assert symbolic_power_bruteforce(I, chain) == chain
+    assert calls == {}
+
+
+def test_contractions_refuse_a_variable_out_of_range():
+    I = MonomialIdeal.from_strings(["x1*x2"], 2)
+    for P in (primes({3}), primes({1}, {3}), primes({1, 2}, {2, 3})):
+        with pytest.raises(ValueError, match="out of range"):
+            intersect_contractions(I, P)

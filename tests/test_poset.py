@@ -166,7 +166,11 @@ def test_entries_must_be_integers():
             (3, [(1.9, 3)], "relation entry is not an integer: 1.9"),
             (3, [(1, 3.0)], "relation entry is not an integer: 3.0"),
             (2.7, [], "ground set size is not an integer: 2.7"),
-            ("3", [], "ground set size is not an integer: '3'")]:
+            ("3", [], "ground set size is not an integer: '3'"),
+            (True, [], "ground set size is not an integer: True"),
+            (np.True_, [], "ground set size is not an integer: np.True_"),
+            (2, [(True, 2)], "relation entry is not an integer: True"),
+            (2, [np.array([True, False])], "relation entry is not an integer: np.True_")]:
         with pytest.raises(ValueError) as exc:
             Poset(n, rels)
         assert str(exc.value) == message

@@ -63,8 +63,9 @@ _SPACE = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1f\xa0 　"), max_size=2)
 _DIGITS = st.text(st.sampled_from("0123456789" * 3 + "١３²_"), min_size=1, max_size=3)
 _TOKEN = st.tuples(_SPACE, st.sampled_from(["", "", "x", "xx", "y"]), _SPACE,
                    st.sampled_from(["", "", "+", "-", "+-"]), _DIGITS, _SPACE).map("".join)
-_RELATION = st.tuples(st.integers(1, 6), _SPACE, st.integers(1, 6)).map(
-    lambda r: f"{r[0]}{r[1]}<{r[1]}x{r[2]}")
+# space after the x too, where int() refuses a leading \x1c-\x1f
+_RELATION = st.tuples(st.integers(1, 6), _SPACE, _SPACE, st.integers(1, 6)).map(
+    lambda r: f"{r[0]}{r[1]}<{r[1]}x{r[2]}{r[3]}")
 # mostly relations, so that many texts get past their last line
 _LINE = st.sampled_from([
     st.lists(_TOKEN, min_size=1, max_size=3).map("<".join), *[st.tuples(_TOKEN, _TOKEN).map("<".join)] * 2,
