@@ -4,18 +4,12 @@ The closure of m is the product over supp m of P_{A_i}^{a_i}, where A_i
 is the down-set of x_i and a_i = m_i (transversal_factorization).  So
 its generators are the distinct products of one degree-a_i monomial on
 each A_i, sums of exponent vectors: all have degree deg m, and none
-divides another.  Up to a
-closure_bound of _SUM_BOUND, the sums are taken on python ints, one
-packed row each, and a descending sort of the ints is the canonical
-order.  Past it, generators come from a walk over the orbit of m by
-transport distance r(u) = |u - m|_1 / 2, one layer per unit moved, on
-numpy rows deduped by one sort over their words and sorted once at the
-end.  That reaches the whole orbit: a transport plan from m to u that
-keeps min(m, u) in place has no variable that both sends and receives,
-so each of its moves raises r, and so every orbit member but m has a
-parent one layer up.  Either way the ideal takes the rows as they come,
-with no re-sort and no minimalization; verify checks the sums against
-the walk.  A membership certificate is such a plan and needs no orbit.
+divides another.  The sums are taken on python ints, one packed row
+each, and a descending sort of the ints is the canonical order, so the
+ideal takes the rows as they come, with no re-sort and no
+minimalization.  verify checks them against the closure under moves
+by definition.  A membership certificate is a transport plan from m
+and needs no closure.
 """
 
 import math
@@ -74,18 +68,6 @@ def closure_monomial(poset, m):
     return m
 
 
-def _distinct_words(rows):
-    """The distinct rows of an array padded to whole 8-byte words.
-
-    One sort over the words puts each repeat right after the row it
-    repeats; the rows come back in no particular order.
-    """
-    words = rows.view(np.uint64)
-    order = np.lexsort(words.T)
-    fresh = monomials._firsts(words.take(order, axis=0))
-    return rows.take(order.compress(fresh), axis=0)
-
-
 def _factors(poset, mm):
     """(A_i, a_i) over the support of the exponent list mm, ascending.
 
@@ -109,16 +91,6 @@ def closure_bound(poset, m):
     return _bound(_factors(poset, closure_monomial(poset, m).tolist()))
 
 
-# Up to this closure_bound a closure is built as sums on python ints;
-# past it, by the array walk.  The ints skip numpy's per-call cost,
-# which dominates small closures, but dedup and sort slower per row.
-# Timed against the walk (2 vCPUs, best of 5) on chain powers, q11
-# monomials and random orders, the sums were faster on 63 of 64
-# closures with bounds up to 1,024 and slower on 5 of 19 from 1,025 to
-# 10,000, by up to half again (x6^12 on a 6-chain: 1.8 against 1.2 ms).
-_SUM_BOUND = 1024
-
-
 def _degree_sums(units, a):
     # the sums of a units, repeats allowed: each once, and in descending
     # order when the units are.  A lone unit is multiplied, not summed a
@@ -135,24 +107,20 @@ def _closure_rows(poset, m, squarefree_only=False):
     # narrowest signed type that holds -1 - deg m, and so deg m.  Every
     # sum of one degree-a_i monomial on each A_i has degree deg m, so
     # the distinct sums are the minimal generators.  A row is one python
-    # int, column c in the field of b bits at b * (n - 1 - c): no field
-    # exceeds deg m < 2^(b - 1), so sums carry nothing across fields,
-    # and descending ints are descending lex rows.  Square-free rows are
-    # the sums of one variable of each A_i with no variable twice, which
-    # is what a move may reach from a square-free m keeping it so; their
-    # fields hold 0 or 1, so two share a variable iff x & y != 0
+    # int packed as monomials._row_fields lays it out: no field exceeds
+    # deg m, so sums carry nothing across fields, and descending ints
+    # are descending lex rows.  Square-free rows are the sums of one
+    # variable of each A_i with no variable twice, which is what a move
+    # may reach from a square-free m keeping it so; their fields hold 0
+    # or 1, so two share a variable iff x & y != 0
     mm = m.tolist()
     factors = _factors(poset, mm)
-    bound = _bound(factors)
-    if bound == 1:
+    if _bound(factors) == 1:
         # m's support sits on minimal elements: the closure is m alone
         return m[None, :]
-    if bound > _SUM_BOUND:
-        return _walk_rows(poset, m, squarefree_only)
     n = poset.n
-    dtype = monomials._narrow_type(sum(mm))
-    b = 8 * dtype.itemsize
-    tables = [_degree_sums([1 << b * (n - j) for j in members], a)
+    dtype, shifts = monomials._row_fields(n, sum(mm))
+    tables = [_degree_sums([1 << shifts[j - 1] for j in members], a)
               for members, a in factors]
     acc = tables[0]
     for table in tables[1:]:
@@ -160,50 +128,9 @@ def _closure_rows(poset, m, squarefree_only=False):
             acc = {x + y for x in acc for y in table if not x & y}
         else:
             acc = {x + y for x in acc for y in table}
-    return monomials._unpack_rows(sorted(acc, reverse=True), n, dtype)
-
-
-def _walk_rows(poset, m, squarefree_only=False):
-    # the closure as a walk over the orbit of m by transport distance
-    # r(u) = |u - m|_1 / 2.  A move x_s -> x_t raises r by one iff
-    # 0 < u_s <= m_s and u_t >= m_t, and the walk makes only those.
-    # That misses nothing: a transport plan from m to an orbit member u
-    # that keeps min(m, u) in place has no variable that both sends and
-    # receives, so replaying it raises r at every step, and in
-    # square-free mode every step stays square-free.  So each row at
-    # distance r + 1 has a parent at distance r, no row reappears in a
-    # later layer, and one dedup per nonempty layer past m suffices: at
-    # most deg m.  Rows, and m with them so that comparisons need no
-    # upcast, are held in the narrowest signed type that holds
-    # -1 - deg m, padded with zero columns, which no move touches, to
-    # whole 8-byte words, and sorted once at the end.  Move k, step row
-    # +1 at dst[k] and -1 at src[k], sends a unit down from x_src
-    # dividing m to x_dst below it
-    mm = m.tolist()
-    moves = np.array([(j - 1, i - 1) for i, e in enumerate(mm, 1) if e
-                      for j in poset.down_set(i) if j != i],
-                     dtype=np.intp).reshape(-1, 2)
-    n = poset.n
-    dtype = monomials._narrow_type(sum(mm))
-    width = -(-n * dtype.itemsize // 8) * 8 // dtype.itemsize
-    layer = np.zeros((1, width), dtype)
-    layer[0, :n] = mm
-    m = layer[0]
-    dst, src = moves.T
-    step = np.zeros((len(moves), width), dtype=dtype)
-    step[np.arange(len(moves))[:, None], moves] = 1, -1
-    layers = [layer]
-    while True:
-        take = layer >= m
-        if squarefree_only:
-            take &= layer == 0
-        sends = (layer > 0) & (layer <= m)
-        r, c = (sends.take(src, axis=1) & take.take(dst, axis=1)).nonzero()
-        if not r.size:
-            rows = np.concatenate(layers)[:, :n]
-            return rows.take(monomials.canonical_order(rows), axis=0)
-        layer = _distinct_words(layer.take(r, axis=0) + step.take(c, axis=0))
-        layers.append(layer)
+    # rebound, so that the set is freed before the rows are unpacked
+    acc = sorted(acc, reverse=True)
+    return monomials._unpack_rows(acc, n, dtype)
 
 
 def generate_principal(poset, m):

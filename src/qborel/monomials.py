@@ -194,22 +194,33 @@ def restrict(m, members):
     return out
 
 
-def _narrow_type(degree):
-    """The narrowest signed type that holds -1 - degree, and so degree."""
-    if degree < 1 << 7:
-        return np.dtype(np.int8)
-    if degree < 1 << 15:
-        return np.dtype(np.int16)
-    if degree < 1 << 31:
-        return np.dtype(np.int32)
-    return np.dtype(np.int64)
+@functools.lru_cache(maxsize=256)
+def _row_fields(n, top):
+    """(dtype, shifts) of rows of n columns packed in python ints.
+
+    dtype is the narrowest signed type that holds -1 - top, and so top,
+    the largest entry; column c is the field of dtype's width at
+    shifts[c], b * (n - 1 - c) for a width of b bits.  So column 0 is
+    the highest field, and descending ints are rows in descending lex
+    order.  Cached: every closure and every join asks for one of a few
+    pairs, and building the shifts would cost more than the lookup.
+    """
+    if top < 1 << 7:
+        dtype = np.dtype(np.int8)
+    elif top < 1 << 15:
+        dtype = np.dtype(np.int16)
+    elif top < 1 << 31:
+        dtype = np.dtype(np.int32)
+    else:
+        dtype = np.dtype(np.int64)
+    b = 8 * dtype.itemsize
+    return dtype, tuple(range(b * (n - 1), -1, -b))
 
 
 def _unpack_rows(keys, n, dtype):
-    """The rows packed in python ints, column c in the field at b * (n - 1 - c).
+    """The rows packed in python ints as _row_fields lays them out.
 
-    b is the width in bits of dtype, and every field holds a nonnegative
-    entry of dtype.  Descending keys give rows in descending lex order.
+    Every field holds a nonnegative entry of dtype.
     """
     nbytes = n * dtype.itemsize
     data = b"".join([u.to_bytes(nbytes, "little") for u in keys])

@@ -317,20 +317,18 @@ def _join(I, cols):
     ones are its minimal generators, and the contractions, on disjoint
     variables, intersect to their product: its minimal generators are
     the sums of one distinct projection per prime, all distinct and of
-    one degree.  A row is one python int, column c in the field at
-    b * (n - 1 - c) with b the width of the narrowest type that holds
-    every exponent, as in engine._closure_rows; the primes share no
-    field, so sums carry nothing, and descending sums are the canonical
-    order.  Returns None when some prime's projections have more than
-    one degree.  I is nonzero.
+    one degree.  A row is one python int packed as
+    monomials._row_fields lays it out for the largest exponent; the
+    primes share no field, so sums carry nothing, and descending sums
+    are the canonical order.  Returns None when some prime's
+    projections have more than one degree.  I is nonzero.
     """
     rows = I.gens.tolist()
     n = I.nvars
-    dtype = monomials._narrow_type(max(map(max, rows)))
-    b = 8 * dtype.itemsize
+    dtype, shifts = monomials._row_fields(n, max(map(max, rows)))
     sums = [0]
     for c in cols:
-        fields = [(j, b * (n - 1 - j)) for j in c]
+        fields = [(j, shifts[j]) for j in c]
         degs, keys = set(), set()
         for r in rows:
             d = k = 0

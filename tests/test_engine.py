@@ -135,19 +135,6 @@ def test_chain_closures():
     assert sf.generator_strings() == ["x1*x2", "x1*x3", "x2*x3"]
 
 
-def _spy_dedups(monkeypatch):
-    # record the dtype of every layer the walk dedups
-    seen = []
-    real = engine._distinct_words
-
-    def spy(rows):
-        seen.append(rows.dtype)
-        return real(rows)
-
-    monkeypatch.setattr(engine, "_distinct_words", spy)
-    return seen
-
-
 def _spy_sorts(monkeypatch):
     # record the dtype of every canonical sort and whether it sorts on
     # the columns alone, as for rows of one degree
@@ -162,41 +149,18 @@ def _spy_sorts(monkeypatch):
     return seen
 
 
-def test_orbit_sorts_one_layer_per_unit_moved(monkeypatch):
-    # past the bound, the walk dedups one layer per unit of transport
-    # distance from m, so at most deg m times, each by a sort over the
-    # words of its narrow rows, and then sorts its rows once into
-    # canonical order.  Within the bound the sums come out in that order
-    # on python ints: no dedup and no sort of an array.  Both hand back
-    # the same distinct rows, in the narrow type that holds deg m
-    dedups = _spy_dedups(monkeypatch)
-    sorts = _spy_sorts(monkeypatch)
-    chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
-    m = parse_monomial("x8^4", 8)
-    assert engine.closure_bound(chain, m) == 330 <= engine._SUM_BOUND
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "_SUM_BOUND", 0)
-        rows = engine._closure_rows(chain, m)
-    assert dedups == [np.int8] * 4 and sorts == [(np.int8, True)]
-    assert rows.shape == (330, 8) and rows.dtype == np.int8
-    assert np.array_equal(rows, np.unique(rows, axis=0)[::-1])
-    dedups.clear()
-    sorts.clear()
-    sums = engine._closure_rows(chain, m)
-    assert dedups == [] and sorts == []
-    assert sums.dtype == np.int8 and np.array_equal(sums, rows)
-
-
 def test_closure_is_sorted_once_and_not_minimalized(monkeypatch):
     # a closure's rows are distinct, of one degree and in canonical
     # order, so the ideal neither sorts nor minimalizes them: the sums
-    # sort no array, and the walk sorts its rows once.  The ideal equals
-    # what the full constructor makes of the rows, int64 and read-only
+    # come out in that order on python ints, in the narrow type that
+    # holds deg m, and no array is sorted.  The ideal equals what the
+    # full constructor makes of the rows, int64 and read-only
     seen = _spy_sorts(monkeypatch)
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
     m = parse_monomial("x8^4", 8)
     rows = engine._closure_rows(chain, m)
-    seen.clear()
+    assert rows.shape == (330, 8) and rows.dtype == np.int8
+    assert np.array_equal(rows, np.unique(rows, axis=0)[::-1])
 
     def minimal_rows(rows):
         raise AssertionError("an orbit was minimalized")
@@ -205,11 +169,7 @@ def test_closure_is_sorted_once_and_not_minimalized(monkeypatch):
         patch.setattr(monomials, "_minimal_rows", minimal_rows)
         I = generate_principal(chain, m)
         sf = generate_sf_principal(chain, parse_monomial("x2*x5*x8", 8))
-        assert seen == []
-        patch.setattr(engine, "_SUM_BOUND", 0)
-        assert generate_principal(chain, m) == I
-        assert seen == [(np.int8, True)]
-        assert generate_sf_principal(chain, parse_monomial("x2*x5*x8", 8)) == sf
+    assert seen == []
     assert I == MonomialIdeal(rows, 8) == MonomialIdeal(rows[::-1], 8)
     assert I.gens.dtype == np.int64 and not I.gens.flags.writeable
     assert I.gens.flags.c_contiguous
@@ -218,12 +178,12 @@ def test_closure_is_sorted_once_and_not_minimalized(monkeypatch):
 
 def test_orbit_on_minimal_elements_is_the_monomial(monkeypatch, q11):
     # x1, x3, x6 and x7 have nothing below them, so the closure bound is
-    # 1 and no move applies: the route hands back m itself and dedups
-    # nothing
-    def no_dedup(rows):
-        raise AssertionError("a move-free orbit was deduped")
+    # 1 and no move applies: the route hands back m itself and packs no
+    # sum
+    def no_sums(*args):
+        raise AssertionError("a move-free closure was summed")
 
-    monkeypatch.setattr(engine, "_distinct_words", no_dedup)
+    monkeypatch.setattr(monomials, "_row_fields", no_sums)
     m = parse_monomial("x1^2*x3*x6", 11)
     assert engine.closure_bound(q11, m) == 1
     rows = engine._closure_rows(q11, m)
@@ -235,14 +195,15 @@ def test_orbit_on_minimal_elements_is_the_monomial(monkeypatch, q11):
     assert both.generator_strings() == ["x1^2*x3*x6", "x7^4"]
 
 
-def test_orbit_walk_memory_is_bounded():
-    # x8^10 on an 8-chain has 19,448 rows, 156 kB at one byte a cell, and
-    # its bound sends it to the walk; the walk's peak, layers, children
-    # and the final sort included, was measured at 1.65 MB
+def test_closure_memory_is_bounded():
+    # x8^10 on an 8-chain has 19,448 rows, 156 kB at one byte a cell.
+    # The sums hold one python int per row in the factor's table, the
+    # sorted list and a bytes object each while the rows are unpacked;
+    # the peak was measured at 3.63 MB
     chain = Poset(8, [(i, i + 1) for i in range(1, 8)])
     m = parse_monomial("x8^10", 8)
-    assert engine.closure_bound(chain, m) == 19448 > engine._SUM_BOUND
-    assert _peak_bytes(lambda: engine._closure_rows(chain, m)) < 2.5e6
+    assert engine.closure_bound(chain, m) == 19448
+    assert _peak_bytes(lambda: engine._closure_rows(chain, m)) < 4.5e6
 
 
 def test_closure_past_the_range_overflows(monkeypatch):
@@ -261,17 +222,15 @@ def test_closure_past_the_range_overflows(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [127, 128, 255, 256])
-def test_orbit_holds_exponents_past_a_narrow_type(monkeypatch, d):
-    # deg m picks the type the sums and the walk hold their rows in; the
-    # exponents at either side of a type's limit must come back intact
+def test_orbit_holds_exponents_past_a_narrow_type(d):
+    # deg m picks the type the sums hold their rows in; the exponents at
+    # either side of a type's limit must come back intact
     chain = Poset(2, [(1, 2)])
     m = np.array([0, d], np.int64)
-    assert engine.closure_bound(chain, m) == d + 1 <= engine._SUM_BOUND
-    for bound in (0, engine._SUM_BOUND):
-        monkeypatch.setattr(engine, "_SUM_BOUND", bound)
-        rows = engine._closure_rows(chain, m)
-        assert rows[:, 0].tolist() == list(range(d, -1, -1))
-        assert (rows.sum(axis=1) == d).all()
+    assert engine.closure_bound(chain, m) == d + 1
+    rows = engine._closure_rows(chain, m)
+    assert rows[:, 0].tolist() == list(range(d, -1, -1))
+    assert (rows.sum(axis=1) == d).all()
 
 
 def test_transversal_factorization(q11, m49, q3, m23):
@@ -349,7 +308,6 @@ def test_closure_bound_generates_nothing(monkeypatch, q11):
         raise AssertionError("the bound generated the closure")
 
     monkeypatch.setattr(engine, "_closure_rows", no_orbit)
-    monkeypatch.setattr(engine, "_walk_rows", no_orbit)
     assert engine.closure_bound(chain, parse_monomial("x14^12", 14)) == math.comb(25, 12) == 5200300
     # on q11 the down-sets of x2, x5 and x11 have 2, 5 and 6 elements:
     # C(4, 3) * C(7, 3) * C(8, 3), against 5,320 generators

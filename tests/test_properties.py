@@ -123,12 +123,14 @@ def orbit_rows_bfs(poset, m, squarefree_only=False):
                 batches.append(nxt)
         if not batches:
             break
-        cand = np.unique(np.concatenate(batches), axis=0)
-        fresh_mask = np.fromiter(
-            (row.tobytes() not in seen for row in cand), bool, cand.shape[0])
-        frontier = cand[fresh_mask]
-        seen.update(row.tobytes() for row in frontier)
-        if frontier.shape[0]:
+        fresh = []
+        for row in np.concatenate(batches):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(row)
+        frontier = np.array(fresh, dtype=m.dtype).reshape(-1, poset.n)
+        if fresh:
             layers.append(frontier)
     return np.concatenate(layers)
 
@@ -136,33 +138,27 @@ def orbit_rows_bfs(poset, m, squarefree_only=False):
 @settings(max_examples=200, deadline=None)
 @given(instances(max_n=7, max_deg=4), st.booleans(), st.data())
 def test_level_walk_matches_the_bfs(inst, squarefree_only, data):
-    # the walk makes only the moves that take a row one unit further
-    # from m, one layer of transport distance at a time, and the sums
-    # take one degree-a_i monomial on each down-set A_i; both must give
-    # the breadth-first orbit.  The labels are shuffled so that they
-    # need not follow the order
+    # the sums take one degree-a_i monomial on each down-set A_i and
+    # must give the breadth-first orbit under every move.  The labels
+    # are shuffled so that they need not follow the order
     poset, m = inst
     perm = data.draw(st.permutations(range(poset.n)))
     poset = Poset(poset.n, [(perm[j - 1] + 1, perm[i - 1] + 1)
                             for j, i in poset.covers])
     m = m[np.argsort(perm)]
-    _walk_matches_the_bfs(poset, m, squarefree_only)
+    _closure_matches_the_bfs(poset, m, squarefree_only)
 
 
-def _walk_matches_the_bfs(poset, m, squarefree_only):
-    # with every closure past the bound on the walk, with the default
-    # bound, and with every closure on the sums: the distinct rows of
-    # the orbit, already in canonical order, each time.  A square-free
-    # closure is asked of a square-free m, as generate_sf_principal asks
+def _closure_matches_the_bfs(poset, m, squarefree_only):
+    # the distinct rows of the orbit, already in canonical order.  A
+    # square-free closure is asked of a square-free m, as
+    # generate_sf_principal asks
     if squarefree_only:
         m = np.minimum(m, 1)
     want = monomials.canonical_rows(orbit_rows_bfs(poset, m, squarefree_only))
-    for bound in (0, engine._SUM_BOUND, 1 << 62):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_SUM_BOUND", bound)
-            rows = engine._closure_rows(poset, m, squarefree_only)
-        assert rows.shape == want.shape
-        assert np.array_equal(rows, want)
+    rows = engine._closure_rows(poset, m, squarefree_only)
+    assert rows.shape == want.shape
+    assert np.array_equal(rows, want)
     return rows
 
 
@@ -179,53 +175,48 @@ def test_closure_bound_covers_the_closure(inst, squarefree_only):
         assert engine.closure_bound(poset, m) >= len(engine.generate_sf_principal(poset, m))
 
 
-@pytest.mark.parametrize("n, m, squarefree_only", [
-    (7, [1, 1, 0, 0, 0, 0, 4], False),
-    (9, [0, 1, 0, 1, 0, 1, 0, 1, 1], True),
+def _chain(n):
+    return Poset(n, [(i, i + 1) for i in range(1, n)])
+
+
+@pytest.mark.parametrize("poset, m, squarefree_only, bound, size", [
+    pytest.param(_chain(14), "x14^6", False, 27132, 27132, id="x14^6 on a 14-chain"),
+    pytest.param("q11", "x2^3*x5^3*x11^3", False, 7840, 5320, id="q11 x2^3*x5^3*x11^3"),
+    pytest.param(_chain(16), "x9*x10*x11*x12*x13*x14*x15*x16", True, 518918400, 12870,
+                 id="x9*...*x16 square-free on a 16-chain"),
+    pytest.param(_chain(7), "x1*x2*x7^4", False, 420, 336, id="x1*x2*x7^4 on a 7-chain"),
+    pytest.param(_chain(9), "x2*x4*x6*x8*x9", True, 3456, 90,
+                 id="x2*x4*x6*x8*x9 square-free on a 9-chain"),
 ])
-def test_walk_handed_over_mid_walk_matches_the_bfs(n, m, squarefree_only):
-    # on a chain the bound hands the first closure to the sums (420 =
-    # 1 * 2 * C(10, 4)) and the square-free one to the walk (3,456 =
-    # 2 * 4 * 6 * 8 * 9); by default only the walk dedups, one layer per
-    # unit moved, and x1*x3*x5*x6*x7 lies 4 units from x2*x4*x6*x8*x9
-    chain = Poset(n, [(i, i + 1) for i in range(1, n)])
-    m = np.array(m, np.int64)
-    _walk_matches_the_bfs(chain, m, squarefree_only)
-    assert (engine.closure_bound(chain, m) > engine._SUM_BOUND) == squarefree_only
-    seen = []
-    real = engine._distinct_words
-
-    def spy(rows):
-        seen.append(rows)
-        return real(rows)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_distinct_words", spy)
-        engine._closure_rows(chain, m, squarefree_only)
-    assert len(seen) == (4 if squarefree_only else 0)
+def test_large_closure_matches_the_bfs(request, poset, m, squarefree_only, bound, size):
+    # larger closures, full and square-free, row for row against the
+    # breadth-first orbit, with their bounds and sizes pinned
+    if poset == "q11":
+        poset = request.getfixturevalue("q11")
+    m = monomials.parse_monomial(m, poset.n)
+    assert engine.closure_bound(poset, m) == bound
+    assert len(_closure_matches_the_bfs(poset, m, squarefree_only)) == size
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17])
 @settings(max_examples=15, deadline=None)
 @given(st.data(), st.booleans())
 def test_walk_on_several_words_matches_the_bfs(n, data, squarefree_only):
-    # the walk's int8 rows of 8 columns fill one 8-byte word; 9, 16 and
-    # 17 columns are padded to two, two and three, and the dedup must
-    # tell rows apart on any of their words.  The sums hold each row as
-    # one int of n fields
+    # the sums pack each row into one python int of n one-byte fields,
+    # 64 to 136 bits here, wider than a machine word
     poset, m = data.draw(instances(min_n=n, max_n=n, max_deg=4))
-    _walk_matches_the_bfs(poset, m, squarefree_only)
+    _closure_matches_the_bfs(poset, m, squarefree_only)
 
 
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("d", [128, 256])
 def test_int16_walk_matches_the_bfs(n, d):
-    # deg m of 128 or more holds rows in int16, four columns a word: 3
-    # columns pad to one word, 5 to two, with x5 alone in the second
+    # deg m of 128 or more holds rows in int16, so each packed field is
+    # two bytes wide and the unpacked rows come back in int16
     poset = Poset(n, [(1, 2), (1, 3)] if n == 3 else [(1, 2), (3, 4), (4, 5)])
     m = np.zeros(n, np.int64)
     m[[1, n - 1]] = d - 2, 2
-    assert _walk_matches_the_bfs(poset, m, False).dtype == np.int16
+    assert _closure_matches_the_bfs(poset, m, False).dtype == np.int16
 
 
 @settings(max_examples=200, deadline=None)
@@ -414,12 +405,13 @@ def test_sf_spread_check_catches_a_short_search(monkeypatch, q6, m1236):
 
 
 def test_transversal_check_catches_a_short_sum(monkeypatch, q11):
-    # at verify's sizes generate_principal takes the sums over the
-    # factorization that the check expands, so the check also compares
-    # it with the move walk; a sum that drops a row must fail there
-    m = np.zeros(11, np.int64)
-    m[[3, 8]] = 1, 2
-    assert verify.check_transversal(q11, m) == []
+    # generate_principal takes the sums over the factorization that the
+    # check expands, so the check also compares the closure with the
+    # monomials reached by moves, which reads no engine closure code; a
+    # sum that drops a row must fail there, at a bound of 12 and of 7,840
+    ms = [monomials.parse_monomial(m, 11) for m in ("x4*x9^2", "x2^3*x5^3*x11^3")]
+    for m in ms:
+        assert verify.check_transversal(q11, m) == []
     assert verify.run_suite(0, 5, 7, 4, ["transversal-expansion"])[0].passed == 5
     real = engine._closure_rows
 
@@ -428,10 +420,11 @@ def test_transversal_check_catches_a_short_sum(monkeypatch, q11):
         return rows[:-1] if len(rows) > 1 else rows
 
     monkeypatch.setattr(engine, "_closure_rows", drop_one_row)
-    fails = verify.check_transversal(q11, m)
-    assert any("move walk" in msg for msg in fails)
+    for m in ms:
+        fails = verify.check_transversal(q11, m)
+        assert any("reached by moves" in msg for msg in fails)
     report = verify.run_suite(0, 5, 7, 4, ["transversal-expansion"])[0]
-    assert report.passed < 5 and any("move walk" in msg for msg in report.failures)
+    assert report.passed < 5 and any("reached by moves" in msg for msg in report.failures)
 
 
 def test_draw_instance_pinned():
